@@ -17,7 +17,7 @@
 //     schedule keeps for itself.
 //
 // --threads adds a worker-count axis (0 = all hardware threads): the
-// chunk-sharded LMAC epoch engine keeps every cell's ledger byte-identical
+// two-phase epoch engine keeps every cell's ledger byte-identical
 // across the axis, so only wall_seconds moves — the row pairs are the
 // partial-parallelism speedup surface.
 //

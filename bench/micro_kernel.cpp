@@ -263,11 +263,10 @@ void BM_FullEpochLoop(benchmark::State& state) {
 BENCHMARK(BM_FullEpochLoop);
 
 void BM_ParallelEpochShardScaling(benchmark::State& state) {
-  // Tree-sharded multi-sink epochs: 4 sinks == 4 shards over 500 nodes on
-  // the fast backend, Arg = worker count. The alignas(64) EpochShardCtx
-  // keeps shard ledgers off each other's cache lines; on a multi-core
-  // host 1 -> 2 -> 4 threads should show wall-clock scaling (the guarded
-  // check lives in tools/perf_smoke.sh — this bench is for profiling it).
+  // Multi-sink epochs: 4 sinks over 500 nodes on the fast backend, Arg =
+  // worker count for the parallel sensing phase (the walk-order commit
+  // phase stays sequential). The guarded check lives in
+  // tools/perf_smoke.sh — this bench is for profiling it.
   sim::Rng rng(42);
   net::Topology topo = net::random_connected(net::scaled_placement(500), rng);
   data::FastEnvironment env(topo, 4, rng.substream("env"));

@@ -12,7 +12,7 @@
 // energy spread ((max-min)/mean of per-sink totals — 0 is perfectly
 // balanced). Routing only matters with >= 2 sinks, so the 1-sink cell runs
 // once and serves as the baseline for both policies. --threads values are
-// worker counts for the tree-sharded epoch engine (0 = all cores; results
+// worker counts for the epoch engine's sensing phase (0 = all cores; results
 // are byte-identical across the axis, only run_seconds moves — the rows
 // feed tools/perf_smoke.sh's self-relative speedup guard).
 #include <chrono>

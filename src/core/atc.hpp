@@ -64,6 +64,16 @@ class ThetaController {
   virtual void on_update_sent(SensorType /*type*/, std::int64_t /*epoch*/) {}
   virtual void on_ehr(const EhrMessage& /*msg*/, std::int64_t /*epoch*/) {}
   virtual void on_epoch(std::int64_t /*epoch*/) {}
+
+  /// True when on_epoch(epoch) commutes with every other hook call of
+  /// that epoch (on_reading, and on_update_sent(type, epoch)) — it leaves
+  /// theta alone — so the epoch engine may run it in its parallel sensing
+  /// phase instead of at the node's walk position. A controller opts in
+  /// only where it can show this.
+  [[nodiscard]] virtual bool epoch_step_commutes(
+      std::int64_t /*epoch*/) const {
+    return false;
+  }
 };
 
 /// Fixed threshold: theta_pct percent of each type's nominal span.
@@ -119,6 +129,13 @@ class AtcController final : public ThetaController {
   void on_update_sent(SensorType type, std::int64_t epoch) override;
   void on_ehr(const EhrMessage& msg, std::int64_t epoch) override;
   void on_epoch(std::int64_t epoch) override;
+  /// Without an adjustment due, on_epoch only trims the rate windows below
+  /// epoch - rate_window_epochs, and the epoch's on_update_sent calls
+  /// only append `epoch` itself, so the two commute.
+  [[nodiscard]] bool epoch_step_commutes(std::int64_t epoch) const override {
+    return epoch - last_adjust_epoch_ < cfg_.adjust_period &&
+           cfg_.rate_window_epochs >= 0;
+  }
 
   /// Node's current updates/hour budget share (0 before the first EHr).
   [[nodiscard]] double budget_per_hour() const noexcept { return budget_per_hour_; }

@@ -36,6 +36,7 @@ void DirqNode::sample(SensorType type, double reading, std::int64_t epoch) {
   if (!std::binary_search(sensors_.begin(), sensors_.end(), type)) {
     return;  // not our sensor: ignore
   }
+  if (stale_flag_ != nullptr) *stale_flag_ = true;
   // One physical sample, observed by every tree slot: each tree keeps its
   // own theta and its own sent tuple, so one reading can trigger an update
   // in one tree and none in another.
@@ -44,21 +45,8 @@ void DirqNode::sample(SensorType type, double reading, std::int64_t epoch) {
     slot.controller->on_reading(type, reading);
     RangeTable& t = slot.tables[type];
     if (t.observe(reading, slot.controller->theta(type))) {
-      maybe_send_update(tree, type, epoch);
+      maybe_send_update(tree, type, t, epoch);
     }
-  }
-}
-
-void DirqNode::sample_slot(TreeId tree, SensorType type, double reading,
-                           std::int64_t epoch) {
-  if (!std::binary_search(sensors_.begin(), sensors_.end(), type)) {
-    return;  // not our sensor: ignore (same guard as sample())
-  }
-  TreeSlot& slot = slots_.at(tree);
-  slot.controller->on_reading(type, reading);
-  RangeTable& t = slot.tables[type];
-  if (t.observe(reading, slot.controller->theta(type))) {
-    maybe_send_update(tree, type, epoch);
   }
 }
 
@@ -66,14 +54,23 @@ void DirqNode::end_epoch(std::int64_t epoch) {
   for (TreeSlot& slot : slots_) slot.controller->on_epoch(epoch);
 }
 
-void DirqNode::end_epoch_slot(TreeId tree, std::int64_t epoch) {
-  slots_.at(tree).controller->on_epoch(epoch);
+void DirqNode::observe_reading(SensorType type, double reading) {
+  for (TreeSlot& slot : slots_) slot.controller->on_reading(type, reading);
+}
+
+RangeEntry DirqNode::commit_reading(TreeId tree, SensorType type,
+                                    double reading, std::int64_t epoch) {
+  TreeSlot& slot = slots_[tree];
+  RangeTable& t = slot.tables[type];
+  if (t.observe(reading, slot.controller->theta(type))) {
+    maybe_send_update(tree, type, t, epoch);
+  }
+  return *t.own();
 }
 
 void DirqNode::maybe_send_update(TreeId tree, SensorType type,
-                                 std::int64_t epoch) {
-  TreeSlot& slot = slots_.at(tree);
-  RangeTable& t = slot.tables[type];
+                                 RangeTable& t, std::int64_t epoch) {
+  TreeSlot& slot = slots_[tree];
   if (!t.needs_update(slot.controller->theta(type))) return;
   const RangeAggregate agg = t.aggregate();
   t.mark_sent();
@@ -89,7 +86,7 @@ void DirqNode::maybe_send_update(TreeId tree, SensorType type,
   } else {
     u.has_range = false;  // retraction: type left this subtree
   }
-  ++slot.updates_sent;
+  ++updates_sent_;
   slot.controller->on_update_sent(type, epoch);
   if (send_) send_(id_, slot.parent, Message{u});
 }
@@ -125,7 +122,7 @@ void DirqNode::handle_update(const UpdateMessage& u, NodeId from,
   } else {
     t.remove_child(from);
   }
-  maybe_send_update(u.tree, u.type, epoch);
+  maybe_send_update(u.tree, u.type, t, epoch);
 }
 
 void DirqNode::handle_query(const QueryMessage& qm, std::int64_t /*epoch*/) {
@@ -261,7 +258,7 @@ void DirqNode::on_child_lost(TreeId tree, NodeId child, std::int64_t epoch) {
     if (t.remove_child(child)) {
       sim::log(sim::LogLevel::Debug, "dirq", "node ", id_,
                " dropped child ", child, " from table ", type);
-      maybe_send_update(tree, type, epoch);
+      maybe_send_update(tree, type, t, epoch);
     }
   }
   if (slot.child_boxes.erase(child) > 0) announce_location(tree, epoch);
@@ -282,7 +279,7 @@ void DirqNode::force_reannounce(TreeId tree, std::int64_t epoch) {
     u.min = agg->min;
     u.max = agg->max;
     u.has_range = true;
-    ++slot.updates_sent;
+    ++updates_sent_;
     slot.controller->on_update_sent(type, epoch);
     if (send_) send_(id_, slot.parent, Message{u});
   }
@@ -293,19 +290,22 @@ void DirqNode::force_reannounce(TreeId tree, std::int64_t epoch) {
 
 void DirqNode::attach_sensor(SensorType type) {
   const auto it = std::lower_bound(sensors_.begin(), sensors_.end(), type);
-  if (it == sensors_.end() || *it != type) sensors_.insert(it, type);
+  if (it != sensors_.end() && *it == type) return;
+  sensors_.insert(it, type);
+  if (stale_flag_ != nullptr) *stale_flag_ = true;
 }
 
 void DirqNode::detach_sensor(SensorType type, std::int64_t epoch) {
   const auto s = std::lower_bound(sensors_.begin(), sensors_.end(), type);
   if (s == sensors_.end() || *s != type) return;
   sensors_.erase(s);
+  if (stale_flag_ != nullptr) *stale_flag_ = true;
   for (TreeId tree = 0; tree < slots_.size(); ++tree) {
     TreeSlot& slot = slots_[tree];
     auto it = slot.tables.find(type);
     if (it == slot.tables.end()) continue;
     it->second.clear_own();
-    maybe_send_update(tree, type, epoch);
+    maybe_send_update(tree, type, it->second, epoch);
   }
 }
 

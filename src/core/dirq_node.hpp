@@ -50,6 +50,11 @@ class DirqNode {
   void set_send(SendFn fn) { send_ = std::move(fn); }
   void set_multicast(MulticastFn fn) { multicast_ = std::move(fn); }
   void set_broadcast(BroadcastFn fn) { broadcast_ = std::move(fn); }
+  /// Set to true whenever an own tuple or the sensor set changes outside
+  /// commit_reading (by sample, attach_sensor or detach_sensor), so a
+  /// network that mirrors both in its epoch plan knows to rebuild it.
+  /// nullptr (the default) disables it.
+  void set_stale_flag(bool* flag) noexcept { stale_flag_ = flag; }
 
   /// Appends one more tree slot (the network adds a slot per extra sink).
   void add_slot(std::unique_ptr<ThetaController> controller);
@@ -96,19 +101,22 @@ class DirqNode {
   /// aggregate moved beyond its theta.
   void sample(SensorType type, double reading, std::int64_t epoch);
 
-  /// One slot's share of sample(): observes the reading in `tree` only.
-  /// The tree-sharded parallel engine calls this once per tree from the
-  /// shard that owns the tree; calling it for every slot in ascending
-  /// TreeId order is equivalent to one sample() call, because slots share
-  /// no mutable state (per-slot update counters included).
-  void sample_slot(TreeId tree, SensorType type, double reading,
-                   std::int64_t epoch);
-
   /// End-of-epoch hook: drives every slot's threshold controller.
   void end_epoch(std::int64_t epoch);
 
-  /// One slot's share of end_epoch() (see sample_slot).
-  void end_epoch_slot(TreeId tree, std::int64_t epoch);
+  /// sample() split in two for DirqNetwork's two-phase epoch engine.
+  /// observe_reading is the node-local half (every slot's controller
+  /// sees the reading; safe to run concurrently for distinct nodes);
+  /// commit_reading is one slot's table half, run in walk order: it
+  /// re-centres the slot's own tuple when the reading escapes it and
+  /// emits the update if the aggregate moved. Calling observe_reading and
+  /// then commit_reading for every slot in ascending TreeId order is
+  /// equivalent to one sample() call. commit_reading returns the slot's
+  /// own tuple afterwards. Neither checks the attached-sensor guard —
+  /// the engine's plan only routes attached types here.
+  void observe_reading(SensorType type, double reading);
+  RangeEntry commit_reading(TreeId tree, SensorType type, double reading,
+                            std::int64_t epoch);
 
   // --- message handling ----------------------------------------------------
 
@@ -203,12 +211,8 @@ class DirqNode {
   }
 
   /// Update Messages this node transmitted (origin + relay, all trees).
-  /// The counter lives per slot so concurrent tree shards never share a
-  /// cache line through it; this accessor sums the slots.
   [[nodiscard]] std::int64_t updates_sent() const noexcept {
-    std::int64_t total = 0;
-    for (const TreeSlot& slot : slots_) total += slot.updates_sent;
-    return total;
+    return updates_sent_;
   }
 
   /// EHr rounds seen (flood dedup state), exposed for tests.
@@ -232,12 +236,12 @@ class DirqNode {
     bool box_sent = false;
     std::unique_ptr<ThetaController> controller;
     std::int64_t last_ehr_round = -1;
-    std::int64_t updates_sent = 0;
   };
 
   /// Emits an update/retraction for `type` in `tree` if the slot's table
-  /// demands one.
-  void maybe_send_update(TreeId tree, SensorType type, std::int64_t epoch);
+  /// `t` (the slot's table for `type`) demands one.
+  void maybe_send_update(TreeId tree, SensorType type, RangeTable& t,
+                         std::int64_t epoch);
   void handle_update(const UpdateMessage& u, NodeId from, std::int64_t epoch);
   void handle_query(const QueryMessage& qm, std::int64_t epoch);
   void handle_multi_query(const MultiQueryMessage& qm, std::int64_t epoch);
@@ -260,6 +264,8 @@ class DirqNode {
   std::vector<TreeSlot> slots_;      // one per spanning tree, TreeId-dense
   double x_ = 0.0, y_ = 0.0;
   bool has_position_ = false;
+  std::int64_t updates_sent_ = 0;
+  bool* stale_flag_ = nullptr;
   SendFn send_;
   MulticastFn multicast_;
   BroadcastFn broadcast_;

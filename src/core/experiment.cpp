@@ -20,22 +20,14 @@
 
 namespace dirq::core {
 
-const char* Experiment::thread_clamp_reason(const ExperimentConfig& /*cfg*/) {
-  // No clamped backends remain: lossy channels decide drops through
-  // order-independent counter-keyed verdicts (core/lossy.hpp), and LMAC
-  // chunk-parallelises the epoch walk around the sequential slot loop.
-  return nullptr;
-}
-
 const char* Experiment::thread_mode_note(const ExperimentConfig& cfg) {
   if (cfg.transport == TransportKind::Lmac) {
-    return "epoch phases parallel; slot delivery stays sequential";
+    return "epoch phases parallel where node-local; slot loop sequential";
   }
   return nullptr;
 }
 
 unsigned Experiment::effective_threads(const ExperimentConfig& cfg) {
-  if (thread_clamp_reason(cfg) != nullptr) return 1;
   return sim::ThreadPool::resolve(cfg.threads);
 }
 
@@ -141,8 +133,8 @@ ExperimentResults Experiment::run() {
     // The CRC-loss model lives inside DirqNetwork::deliver (not a sink
     // wrapper): every drop verdict is a pure function of (seed, tree,
     // from, to, per-pair delivery counter) on the seed's dedicated "loss"
-    // substream, so the parallel epoch engine evaluates drops inside its
-    // shards and any transport — instant or LMAC — sees the same channel.
+    // substream, so any transport — instant or LMAC — sees the same
+    // channel.
     // Installed after construction: the bootstrap announce wave models
     // deployment, before the channel applies.
     loss.emplace(cfg_.loss_rate, sim::CounterRng(cfg_.seed).substream("loss"));
@@ -167,9 +159,9 @@ ExperimentResults Experiment::run() {
   }
 
   // Intra-run parallelism: a pool only exists when the resolved count is
-  // > 1. Every backend honours it now — lossy runs evaluate their
-  // order-independent drop verdicts in-shard, LMAC runs chunk the epoch
-  // walk around the sequential slot loop.
+  // > 1, and it only runs the epoch's node-local sensing phase; the
+  // update cascade (and LMAC's slot loop) stays sequential on every
+  // backend.
   const unsigned threads = effective_threads(cfg_);
   if (threads > 1) network.set_threads(threads);
 

@@ -36,11 +36,6 @@ void LmacTransport::unicast(NodeId from, NodeId to, const Message& msg) {
   mac_.send(from, to, msg);
 }
 
-void LmacTransport::unicast_uncharged(NodeId from, NodeId to,
-                                      const Message& msg) {
-  mac_.send(from, to, msg);
-}
-
 void LmacTransport::multicast(NodeId from, std::span<const NodeId> targets,
                               const Message& msg) {
   if (targets.empty()) return;

@@ -32,22 +32,10 @@ class LmacTransport final : public Transport, public mac::LinkObserver {
   void broadcast(NodeId from, const Message& msg) override;
   [[nodiscard]] const CostLedger& costs() const override { return ledger_; }
   /// Writable ledger access so a driver swapping transports mid-run can
-  /// carry an earlier transport's accumulated costs over, and so the
-  /// parallel epoch engine can merge its shard-local ledgers in.
+  /// carry an earlier transport's accumulated costs over.
   [[nodiscard]] CostLedger& mutable_costs() noexcept override {
     return ledger_;
   }
-  /// Sends only enqueue into the sender's per-node tx queue; delivery
-  /// happens later in the scheduler's slot loop. This is what lets the
-  /// epoch engine walk nodes in parallel chunks: during the walk nothing
-  /// is delivered, so slot order — the MAC's contract — is untouched.
-  [[nodiscard]] bool deferred_delivery() const noexcept override {
-    return true;
-  }
-  /// Enqueue without charging ledger_ — mac::LmacNetwork::send is a pure
-  /// push into the sender's own queue, so distinct senders can enqueue
-  /// concurrently while the engine's shard-local ledgers take the charge.
-  void unicast_uncharged(NodeId from, NodeId to, const Message& msg) override;
 
   // --- cross-layer notifications ---------------------------------------------
   using NeighborHandler = std::function<void(NodeId self, NodeId neighbor)>;

@@ -10,15 +10,12 @@
 // lose coverage gracefully, never crash) and by users who want a quick
 // sensitivity estimate before a real-channel study.
 //
-// Order independence (the property that lets lossy epochs parallelise):
-// each drop verdict is a pure function of the delivery's identity —
-// (tree, from, to, per-key delivery sequence number) hashed through
-// sim::counter_hash on a dedicated "loss" substream — never of how many
-// unrelated deliveries happened before it. Reordering deliveries across
-// distinct (tree, from, to) keys cannot change a single verdict, so the
-// parallel epoch engine's shards (which each preserve their own keys'
-// subsequence order) reproduce the sequential drop pattern exactly
-// (tests/core/lossy_order_test.cpp).
+// Order independence: each drop verdict is a pure function of the
+// delivery's identity — (tree, from, to, per-key delivery sequence
+// number) hashed through sim::counter_hash on a dedicated "loss"
+// substream — never of how many unrelated deliveries happened before it.
+// Reordering deliveries across distinct (tree, from, to) keys cannot
+// change a single verdict (tests/core/lossy_order_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -34,33 +31,10 @@ namespace dirq::core {
 
 /// The channel model: pure per-delivery verdicts, the per-key sequence
 /// counters that advance them, and the offered/dropped totals.
-///
-/// Threading contract: `drops` is const and pure. `next_drop` advances a
-/// counter stored under counters_[tree][from] — distinct (tree, from)
-/// pairs touch disjoint state, which is exactly the write-disjointness
-/// both parallel shard geometries guarantee (tree shards own whole tree
-/// planes; subtree shards own whole sender nodes). Concurrent callers
-/// must pre-size the planes from a sequential context (configure /
-/// ensure_nodes); the lazy growth inside next_drop is for sequential use.
 class LossChannel {
  public:
   LossChannel(double drop_probability, sim::CounterRng rng)
       : drop_(drop_probability), rng_(rng) {}
-
-  /// Pre-sizes the per-tree, per-sender counter planes (sequential
-  /// context only). Idempotent; never shrinks.
-  void configure(std::size_t tree_count, std::size_t node_count) {
-    if (counters_.size() < tree_count) counters_.resize(tree_count);
-    ensure_nodes(node_count);
-  }
-
-  /// Grows every tree plane to `node_count` senders (call after
-  /// Topology::add_node, before the next parallel epoch).
-  void ensure_nodes(std::size_t node_count) {
-    for (auto& plane : counters_) {
-      if (plane.size() < node_count) plane.resize(node_count);
-    }
-  }
 
   /// Pure verdict for the seq-th delivery on (tree, from, to). O(1),
   /// order-independent by construction.
@@ -77,8 +51,7 @@ class LossChannel {
 
   /// Stateful form: advances the (tree, from, to) sequence counter and
   /// returns that delivery's verdict. Does NOT touch the offered/dropped
-  /// totals — parallel shards accumulate those locally and merge through
-  /// add_counts; sequential callers pair it with note().
+  /// totals; callers pair it with note().
   [[nodiscard]] bool next_drop(TreeId tree, NodeId from, NodeId to) {
     if (static_cast<std::size_t>(tree) >= counters_.size()) {
       counters_.resize(static_cast<std::size_t>(tree) + 1);
@@ -95,17 +68,10 @@ class LossChannel {
     return drops(tree, from, to, 0);
   }
 
-  /// Books one delivery into the totals (sequential path).
+  /// Books one delivery into the totals.
   void note(bool dropped) noexcept {
     ++offered_;
     if (dropped) ++dropped_;
-  }
-
-  /// Merges a shard's locally-accumulated totals (called in fixed shard
-  /// order at the parallel merge, so the totals stay deterministic).
-  void add_counts(std::int64_t offered, std::int64_t dropped) noexcept {
-    offered_ += offered;
-    dropped_ += dropped;
   }
 
   [[nodiscard]] std::int64_t offered() const noexcept { return offered_; }
@@ -125,8 +91,7 @@ class LossChannel {
 
 /// MessageSink decorator over a LossChannel — the composition surface for
 /// tests and custom transport stacks. (DirqNetwork consumes a LossChannel
-/// directly via set_loss so its parallel engine can evaluate drops inside
-/// shards; this wrapper stays sequential.)
+/// directly via set_loss, so drops are decided inside its deliver().)
 class LossySink final : public MessageSink {
  public:
   /// Invoked for every dropped frame. The transport has already charged

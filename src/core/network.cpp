@@ -1,7 +1,8 @@
 #include "core/network.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -13,159 +14,103 @@
 
 namespace dirq::core {
 
-/// Shard-local accounting for one parallel consume pass. Every message a
-/// shard's nodes emit is charged here instead of the shared transport
-/// ledger, and per-node tx/rx attribution lands in shard-local dense
-/// delta arrays (in tree-shard mode the same node transmits in several
-/// shards, so direct writes to the shared counters would race). In
-/// subtree mode root-bound deliveries are deferred so the root — the only
-/// node reachable from more than one shard — is touched by exactly one
-/// thread. Merged into the real ledger/counters in shard-index order
-/// after the join, which keeps the totals equal to the sequential pass
-/// (they are sums of the same per-message charges).
-///
-/// alignas(64): each shard's hot merge state gets its own cache line(s);
-/// without it neighbouring shards' ledgers share lines and every charge
-/// bounces the line between cores (see BM_ParallelEpochShardScaling).
-struct alignas(64) EpochShardCtx {
-  std::size_t index = 0;
-  CostLedger ledger;
-  std::int64_t update_msgs = 0;  // wire-level UpdateMessage transmissions
-  std::vector<std::pair<NodeId, Message>> to_root;  // {from, msg}, in order
-  // Per-type walk cursors (resized to the plan's type count each epoch).
-  std::vector<std::size_t> plan_cur;
-  std::vector<std::size_t> val_cur;
-  // Per-node tx/rx deltas for this shard's pass (cleared each epoch,
-  // merged in shard-index order).
-  std::vector<CostUnits> tx_delta;
-  std::vector<CostUnits> rx_delta;
-  // Lossy-channel totals for this shard's pass (the verdicts themselves
-  // are order-independent; only these tallies need the ordered merge).
-  std::int64_t loss_offered = 0;
-  std::int64_t loss_dropped = 0;
-  // Chunk mode only: per-tree tx mirror — a chunk carries several trees'
-  // messages when multiple sinks ride a deferred transport, so the
-  // shard's single ledger cannot be attributed to one tree at merge.
-  std::vector<CostLedger> tree_delta;
-};
-
 namespace {
-/// Routes the wire_node send path: while a shard task runs, its context
-/// lives here and unicasts charge the shard ledger. Distinct DirqNetwork
-/// instances own distinct pools, so a worker thread only ever serves one
-/// network at a time and the single slot cannot cross-talk.
-thread_local EpochShardCtx* tls_shard = nullptr;
-
-struct TlsShardGuard {
-  explicit TlsShardGuard(EpochShardCtx* ctx) noexcept { tls_shard = ctx; }
-  ~TlsShardGuard() { tls_shard = nullptr; }
-  TlsShardGuard(const TlsShardGuard&) = delete;
-  TlsShardGuard& operator=(const TlsShardGuard&) = delete;
+/// One slot of the own-tuple plane: the (node, type, tree) slot's
+/// RangeTable::own() bounds, NaN when it holds no tuple — so the crossing
+/// test !(lo <= r && r <= hi) fires exactly when RangeTable::observe
+/// re-centres (NaN compares false).
+struct OwnTuple {
+  double lo;
+  double hi;
 };
 
-void accumulate(CostLedger& into, const CostLedger& from) {
-  into.query_tx += from.query_tx;
-  into.query_rx += from.query_rx;
-  into.update_tx += from.update_tx;
-  into.update_rx += from.update_rx;
-  into.control_tx += from.control_tx;
-  into.control_rx += from.control_rx;
-}
+constexpr double kNoTuple = std::numeric_limits<double>::quiet_NaN();
+
+/// Phase-A chunks per pool thread: more, smaller chunks than threads so
+/// dynamic claiming absorbs uneven per-chunk cost and host CPU steal.
+constexpr std::size_t kChunksPerThread = 4;
 }  // namespace
 
-/// The parallel epoch engine: a persistent pool plus the cached shard plan.
+/// The epoch engine's plan (see DirqNetwork::process_epoch).
 ///
-/// Three shard geometries share the machinery:
+/// Phase B follows `walk`: the alive members of the epoch walk in
+/// sampling order (leaves first). Phase A visits the same nodes in id
+/// order (`members`), because everything it touches per node — the
+/// sampling gate, the controllers, the environment's per-node memo — is
+/// id-indexed, so each chunk streams through memory. Chunk c owns
+/// members [chunk_off[c], chunk_off[c+1]) with all of their sensor types
+/// and tree slots: a chunk never splits a node, whose controllers keep
+/// every type in one structure (AtcController's std::map) that
+/// on_reading may insert into.
 ///
-/// * Subtree mode (one tree): shard s is the s-th root child's subtree in
-///   leaves-first (reversed cached-BFS) order, and for every sensor type
-///   t, plan_nodes[t] lists the nodes carrying t in that same shard-major
-///   walk order with the root's sensors at the tail (the root is
-///   processed serially, last, exactly as the reversed global order
-///   does). plan_seg[t] holds shards.size() + 2 offsets: segment s is
-///   [seg[s], seg[s+1]) and the root segment is the final one.
-///
-/// * Tree-shard mode (several sinks): shard k IS spanning tree k. Every
-///   shard walks the same reversed union order, but only advances its own
-///   tree's slot on each node (DirqNode::sample_slot / end_epoch_slot) —
-///   slots share no mutable state, so the shards are write-disjoint by
-///   construction and no root pass is needed (each tree's cascade,
-///   including into its own root, stays inside its shard). Shard 0
-///   additionally owns the shared sampling gate: it performs the
-///   on_skip/on_sample/count_sample bookkeeping inline, exactly where the
-///   sequential walk does (the gate reads the tree-0 controller's theta,
-///   which only shard 0 mutates). plan_nodes[t] is the full reversed
-///   union walk per type; plan_seg is unused.
-///
-/// * Chunk mode (deferred-delivery transport, i.e. LMAC): shard s is a
-///   contiguous chunk of the reversed epoch walk, each node fully
-///   processed — all tree slots — inside its chunk. This is safe for any
-///   sink count because sends on a deferred transport only enqueue into
-///   the *sender's* per-node MAC queue (mac::LmacNetwork::send is a pure
-///   push), so nothing crosses chunks during the walk; the slot-ordered
-///   transmit/deliver loop — the MAC's ordering contract — runs later,
-///   sequentially, in the scheduler. plan_seg carries the chunk segments
-///   with an empty serial-root segment (the root sits inside a chunk,
-///   which is fine precisely because no deliveries happen). Sends charge
-///   the shard ledger plus a per-tree tree_delta mirror, both merged in
-///   shard order. An open query audit does not force chunk-mode epochs
-///   sequential: the audit arrays and the query-cost baseline only move
-///   on deliveries and query traffic, neither of which the walk produces.
-///
-/// next_due mirrors the sampling gate per plan slot (struct-of-arrays, so
-/// the per-epoch gate filter is a flat int64 scan — gate_scan.hpp — over
-/// a dense array instead of a FlatMap lookup per sensor); shard 0 (or the
-/// owning subtree shard) writes a slot back right after on_sample. In
-/// gated epochs due_mask[t] holds the per-slot decision byte computed
-/// before the shards run, so every shard branches on the same snapshot.
-struct DirqNetwork::ParallelEngine {
-  explicit ParallelEngine(unsigned threads) : pool(threads) {}
-
-  static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
-
-  /// One readings() call: a contiguous slice of type t's batch. Splitting
-  /// below whole types is only done when the source advertises
-  /// concurrent_intra_type_chunks().
-  struct FetchTask {
-    SensorType type = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
+/// Per sensor type t, plan slot j is the j-th member carrying t; a
+/// chunk's slots of type t form the contiguous range [seg[c], seg[c+1]).
+/// Each slot carries its node's walk position, the DirqNode's
+/// attached-sensor guard, the sampling gate's next-due epoch (gated runs)
+/// and the own-tuple plane entry of every tree slot. The plane is written
+/// by phase B's commits and rebuilt from the range tables with the plan;
+/// RangeTable stays the source of truth for aggregates, queries and
+/// believes_relevant.
+struct DirqNetwork::EpochPlan {
+  /// A reading that escaped its slot's own tuple in phase A, committed in
+  /// phase B at its node's walk position.
+  struct Crossing {
+    std::uint32_t pos;   // walk position of the node
+    TreeId tree;
+    SensorType type;
+    std::uint32_t slot;  // plan slot j of (node, type)
+    double reading;
   };
 
-  sim::ThreadPool pool;
-  bool plan_dirty = true;
-  bool tree_mode = false;      // shard per tree instead of per subtree
-  bool mac_mode = false;       // chunk shards over a deferred transport
-  std::size_t plan_alive = 0;  // cheap staleness guard vs the topology
+  struct TypePlan {
+    std::vector<NodeId> nodes;           // ascending id
+    std::vector<std::uint32_t> pos;      // walk position of nodes[j]
+    std::vector<std::size_t> seg;        // chunk c: slots [seg[c], seg[c+1])
+    std::vector<std::uint8_t> attached;  // DirqNode carries the type
+    std::vector<OwnTuple> own;           // own[j * tree_count + tree]
+    std::vector<std::int64_t> next_due;  // gate mirror (gated runs)
+    // Per-epoch scratch, reused so the hot loop never allocates. Gated
+    // runs compact the due slots into batch/batch_seg; ungated runs read
+    // nodes/seg directly. values[i] is the reading of batch node i.
+    std::vector<std::uint8_t> due;
+    std::vector<NodeId> batch;
+    std::vector<std::size_t> batch_seg;
+    std::vector<double> values;
 
-  std::vector<std::vector<NodeId>> shards;  // subtree mode: leaves-first
-  std::vector<NodeId> walk;                 // tree mode: shared walk order
-  std::vector<std::size_t> claim_order;     // largest shard first
-  std::vector<std::size_t> shard_of;        // per node, kNoShard if none
-  bool gated = false;                       // sampling suppression on?
+    [[nodiscard]] const std::vector<NodeId>& sampled(bool gated) const {
+      return gated ? batch : nodes;
+    }
+    [[nodiscard]] const std::vector<std::size_t>& sampled_seg(
+        bool gated) const {
+      return gated ? batch_seg : seg;
+    }
+  };
 
-  std::vector<std::vector<NodeId>> plan_nodes;
-  std::vector<std::vector<std::size_t>> plan_seg;
-  std::vector<std::vector<std::int64_t>> next_due;  // gate mirror (gated)
+  /// Phase-A output of one chunk. alignas(64): chunks run on different
+  /// threads and push to their own lists.
+  struct alignas(64) Chunk {
+    std::vector<Crossing> crossings;
+  };
 
-  // Per-epoch scratch, reused so the hot loop never allocates.
-  std::vector<EpochShardCtx> ctx;
-  std::vector<std::vector<std::uint8_t>> due_mask;  // gated: 0/1 per slot
-  std::vector<std::vector<NodeId>> filt_nodes;  // gated: nodes due this epoch
-  std::vector<std::vector<std::size_t>> filt_seg;
-  std::vector<std::vector<double>> values;
-  std::vector<FetchTask> fetch_tasks;
-  std::vector<std::size_t> root_plan_cur, root_val_cur;
-  std::vector<SensorType> active_types;  // non-empty batches this epoch
-
-  // The gather/consume batch for type t this epoch: the filtered list
-  // when the gate is on, the full plan list otherwise.
-  [[nodiscard]] const std::vector<NodeId>& batch(std::size_t t) const {
-    return gated ? filt_nodes[t] : plan_nodes[t];
-  }
-  [[nodiscard]] const std::vector<std::size_t>& offsets(std::size_t t) const {
-    return gated ? filt_seg[t] : plan_seg[t];
-  }
+  std::uint64_t topo_revision = 0;
+  bool gated = false;
+  /// ATC controllers. make_controller is the only factory, and
+  /// FixedTheta's on_reading and on_epoch are empty, so fixed-threshold
+  /// epochs skip both hooks.
+  bool adaptive = false;
+  std::vector<NodeId> walk;
+  /// Per walk position: phase A left the node's end-of-epoch step to
+  /// phase B (adaptive runs).
+  std::vector<std::uint8_t> step_due;
+  std::vector<NodeId> members;               // walk nodes, ascending id
+  std::vector<std::uint32_t> member_pos;     // walk position per member
+  std::vector<std::uint32_t> sensor_count;   // per member
+  std::vector<std::size_t> chunk_off;
+  std::vector<TypePlan> types;
+  std::vector<Chunk> chunks;
+  std::vector<Crossing> crossings;  // all chunks' crossings, walk order
+  std::vector<SensorType> active;   // types with a non-empty batch
+  const data::ReadingSource* probed = nullptr;  // adoption settled for it
 };
 
 std::unique_ptr<ThetaController> make_controller(const NetworkConfig& cfg) {
@@ -223,31 +168,23 @@ DirqNetwork::DirqNetwork(net::Topology& topo, std::vector<NodeId> roots,
     }
   }
   rebuild_union_walk();
+  plan_ = std::make_unique<EpochPlan>();
 }
 
 DirqNetwork::~DirqNetwork() = default;
 
 void DirqNetwork::set_threads(unsigned threads) {
   const unsigned n = sim::ThreadPool::resolve(threads);
-  if (n <= 1) {
-    par_.reset();
-    return;
-  }
-  if (par_ && par_->pool.size() == n) return;
-  par_ = std::make_unique<ParallelEngine>(n);
+  if (n == this->threads()) return;
+  pool_ = n > 1 ? std::make_unique<sim::ThreadPool>(n) : nullptr;
+  plan_dirty_ = true;  // the chunk count follows the pool width
 }
 
 unsigned DirqNetwork::threads() const noexcept {
-  return par_ ? par_->pool.size() : 1;
+  return pool_ ? pool_->size() : 1;
 }
 
-void DirqNetwork::set_loss(LossChannel* loss) {
-  loss_ = loss;
-  // Pre-size the counter planes so parallel shards never grow the outer
-  // vectors (their per-(tree, from) cells stay shard-owned); kept sized
-  // across churn by retarget_trees.
-  if (loss_ != nullptr) loss_->configure(trees_.count(), topo_.size());
-}
+void DirqNetwork::set_loss(LossChannel* loss) { loss_ = loss; }
 
 void DirqNetwork::charge_tree_tx(const Message& msg) {
   const TreeId t = message_tree(msg);
@@ -264,31 +201,8 @@ void DirqNetwork::charge_tree_rx(const Message& msg) {
 }
 
 void DirqNetwork::wire_node(DirqNode& n) {
+  n.set_stale_flag(&plan_dirty_);
   n.set_send([this](NodeId from, NodeId to, const Message& msg) {
-    if (EpochShardCtx* ctx = tls_shard) {
-      // Parallel consume pass: charge the shard, not the shared ledger;
-      // the update hook is replayed (same epoch, same count) at merge,
-      // and the shard ledger is merged into the message's tree mirror.
-      // Per-node attribution goes through the shard's delta array — in
-      // tree-shard mode `from` transmits in several shards at once.
-      if (std::holds_alternative<UpdateMessage>(msg)) ++ctx->update_msgs;
-      ctx->tx_delta.at(from) += 1;
-      if (par_->mac_mode) {
-        // Chunk mode: the send only enqueues into `from`'s own MAC queue
-        // (single-writer — this shard owns `from`). Charge the shard
-        // ledger and the message's per-tree mirror locally; both merge in
-        // shard order after the join.
-        InstantTransport::charge_tx(ctx->ledger, msg);
-        const TreeId t = message_tree(msg);
-        if (t < ctx->tree_delta.size()) {
-          InstantTransport::charge_tx(ctx->tree_delta[t], msg);
-        }
-        transport_->unicast_uncharged(from, to, msg);
-        return;
-      }
-      parallel_unicast(*ctx, from, to, msg);
-      return;
-    }
     if (std::holds_alternative<UpdateMessage>(msg)) {
       ++updates_transmitted_;
       if (update_hook_) update_hook_(current_epoch_);
@@ -299,19 +213,11 @@ void DirqNetwork::wire_node(DirqNode& n) {
   });
   n.set_multicast([this](NodeId from, const std::vector<NodeId>& targets,
                          const Message& msg) {
-    if (tls_shard != nullptr) {
-      // The consume pass is strictly up-tree unicast; anything else here
-      // means protocol state diverged from the tree. Fail loud.
-      throw std::logic_error("DirqNetwork: multicast during a parallel epoch");
-    }
     node_tx_.at(from) += 1;  // one transmission regardless of target count
     charge_tree_tx(msg);
     transport_->multicast(from, targets, msg);
   });
   n.set_broadcast([this](NodeId from, const Message& msg) {
-    if (tls_shard != nullptr) {
-      throw std::logic_error("DirqNetwork: broadcast during a parallel epoch");
-    }
     node_tx_.at(from) += 1;
     charge_tree_tx(msg);
     transport_->broadcast(from, msg);
@@ -328,17 +234,12 @@ void DirqNetwork::deliver(NodeId to, NodeId from, const Message& msg) {
   if (to >= topo_.size()) {
     throw std::logic_error("DirqNetwork::deliver: recipient outside topology");
   }
-  // Mirror the rx into the message's tree ledger — except while replaying
-  // deferred root deliveries at the parallel merge, whose rx the shard
-  // ledger already booked.
-  if (!merging_parallel_) charge_tree_rx(msg);
+  charge_tree_rx(msg);  // mirror the rx into the message's tree ledger
   if (to >= node_rx_.size()) node_rx_.resize(topo_.size(), 0);
   node_rx_[to] += 1;
   // CRC loss: the radio has paid its rx (ledger, tree mirror, per-node) —
-  // the protocol never sees the frame. Skipped while replaying deferred
-  // root deliveries at the parallel merge: those already survived their
-  // in-shard verdict (parallel_unicast).
-  if (loss_ != nullptr && !merging_parallel_) {
+  // the protocol never sees the frame.
+  if (loss_ != nullptr) {
     const bool dropped = loss_->next_drop(message_tree(msg), from, to);
     loss_->note(dropped);
     if (dropped) return;
@@ -386,674 +287,284 @@ void DirqNetwork::rebuild_union_walk() {
 void DirqNetwork::process_epoch(const data::ReadingSource& env,
                                 std::int64_t epoch) {
   current_epoch_ = epoch;
-  if (par_ != nullptr) {
-    if (transport_ == instant_.get()) {
-      // Instant transport: deliveries happen inline during the walk, so
-      // an open audit (whose received/believed arrays are only written in
-      // deliver()) forces the sequential path.
-      if (!audit_active_) {
-        process_epoch_parallel(env, epoch);
-        return;
+  const bool rebuilt =
+      plan_dirty_ || plan_->topo_revision != topo_.revision();
+  if (rebuilt) rebuild_plan();
+  EpochPlan& p = *plan_;
+  const std::size_t chunks = p.chunks.size();
+
+  // Gate: a branch-light sweep per type over the next_due mirror
+  // (gate_scan.hpp: a vectorizable compare pass into `due`, then an
+  // unconditional-store compaction per chunk). A slot's next_due only
+  // moves through its own on_sample, so the mask branches exactly like
+  // SamplingController::should_sample.
+  if (p.gated) {
+    for (EpochPlan::TypePlan& tp : p.types) {
+      const std::size_t n = tp.nodes.size();
+      tp.due.resize(n);
+      gate_scan_mask(tp.next_due.data(), n, epoch, tp.due.data());
+      tp.batch.resize(n);
+      std::size_t m = 0;
+      for (std::size_t c = 0; c < chunks; ++c) {
+        tp.batch_seg[c] = m;
+        m += gate_compact(tp.nodes.data(), tp.due.data(), tp.seg[c],
+                          tp.seg[c + 1], tp.batch.data() + m);
       }
-    } else if (transport_->deferred_delivery()) {
-      // Deferred transport (LMAC): the walk performs no deliveries — it
-      // only enqueues into per-sender queues — so chunk-mode epochs are
-      // safe even inside an open (asynchronous) audit.
-      process_epoch_parallel(env, epoch);
-      return;
+      tp.batch_seg[chunks] = m;
+      tp.batch.resize(m);
     }
   }
-  // Sequential fallback (audited instant epoch, or a custom synchronous
-  // transport) while a pool exists: node state advances outside the plan,
-  // so the gate mirror is stale for the next parallel epoch.
-  if (par_ != nullptr) par_->plan_dirty = true;
-  // Leaves-first (reverse BFS) ordering makes the within-epoch update
-  // cascade settle in a single pass with the instant transport; any order
-  // is correct since parents re-check on every child update. The order is
-  // tree 0's cached (alive-only) BFS order — extended by other trees'
-  // extra members when several sinks are deployed — no per-epoch
-  // allocation — and each node's epoch work (sampling, theta checks,
-  // update propagation, controller end-of-epoch step) is batched into
-  // this one walk. The end-of-epoch step only mutates the node's own
-  // controllers, so running it per node inside the pass is equivalent to
-  // a separate whole-network sweep.
-  //
-  // Readings cross the environment boundary in one batch per sensor type:
-  // pass 1 gathers, per type and in walk order, the nodes that will
-  // physically sample; one ReadingSource::readings call per type fills the
-  // values; pass 2 re-runs the identical walk consuming them. Readings are
-  // pure at a fixed epoch and the gate decision for (node, type) reads
-  // only prior-epoch state, so both passes branch identically and the
-  // per-node evaluation order (messages, goldens) is unchanged.
-  const std::vector<NodeId>& order = epoch_walk_order();
-  if (batch_nodes_.size() < env.type_count()) {
-    batch_nodes_.resize(env.type_count());
-    batch_values_.resize(env.type_count());
-    batch_cursor_.resize(env.type_count());
+
+  // Readings are pure at a fixed epoch, so where they are fetched cannot
+  // change a value. A source that can split one type's batch across
+  // threads is read inside phase A, chunk by chunk; any other source is
+  // read here, one call per type.
+  const bool in_phase_a =
+      env.concurrent_type_batches() && env.concurrent_intra_type_chunks();
+  fetch_readings(env, in_phase_a);
+
+  // Phase A: node-local sensing, one task per chunk. The first epoch
+  // after a rebuild runs it on this thread, so state the controllers
+  // create lazily on a node's first reading (ATC's per-type windows) is
+  // allocated here rather than in the workers' malloc arenas, which
+  // would otherwise raise peak memory for the rest of the run.
+  const auto sense = [this, &env, in_phase_a, epoch](std::size_t c) {
+    sense_chunk(env, c, in_phase_a, epoch);
+  };
+  if (pool_ && !rebuilt) {
+    pool_->parallel_for(chunks, sense);
+  } else {
+    for (std::size_t c = 0; c < chunks; ++c) sense(c);
   }
-  for (std::size_t t = 0; t < batch_nodes_.size(); ++t) {
-    batch_nodes_[t].clear();
-    batch_cursor_[t] = 0;
-  }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId u = *it;
-    if (!topo_.is_alive(u)) continue;
-    const net::Node& info = topo_.node(u);
-    const SamplingController& gate = samplers_[u];
-    // Node::sensors is sorted + deduplicated by every Topology entry
-    // point (constructor, add_node, add_sensor), so a (node, type) pair
-    // occurs at most once per walk — the gate decision re-evaluated in
-    // pass 2 cannot have been perturbed by an earlier occurrence, and the
-    // two passes always branch identically (asserted by
-    // DirqNetworkBatch.DuplicateSensorListsAreDedupedByTopology).
-    for (SensorType t : info.sensors) {
-      if (!gate.enabled() || gate.should_sample(t, epoch)) {
-        // Post-deployment sensor types can exceed the environment's type
-        // count; keep them in the batch so the backend raises the same
-        // out_of_range the per-node path always did.
-        if (t >= batch_nodes_.size()) {
-          batch_nodes_.resize(t + 1);
-          batch_values_.resize(t + 1);
-          batch_cursor_.resize(t + 1, 0);
-        }
-        batch_nodes_[t].push_back(u);
-      }
-    }
-  }
-  for (std::size_t t = 0; t < batch_nodes_.size(); ++t) {
-    if (batch_nodes_[t].empty()) continue;
-    batch_values_[t].resize(batch_nodes_[t].size());
-    env.readings(static_cast<SensorType>(t), batch_nodes_[t],
-                 batch_values_[t]);
-  }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId u = *it;
-    if (!topo_.is_alive(u)) continue;
-    const net::Node& info = topo_.node(u);
-    SamplingController& gate = samplers_[u];
-    if (!gate.enabled()) {
-      // Suppression off (the paper's evaluated configuration): sample
-      // every sensor, skip the predictor bookkeeping entirely.
-      for (SensorType t : info.sensors) {
-        nodes_[u].sample(t, batch_values_[t][batch_cursor_[t]++], epoch);
-        gate.count_sample();
-      }
-    } else {
-      for (SensorType t : info.sensors) {
-        if (!gate.should_sample(t, epoch)) {
-          gate.on_skip(t);  // predictor confident: save the ADC energy (§8)
-          continue;
-        }
-        const double reading = batch_values_[t][batch_cursor_[t]++];
-        nodes_[u].sample(t, reading, epoch);
-        gate.on_sample(t, reading, nodes_[u].controller().theta(t), epoch);
-      }
-    }
-    nodes_[u].end_epoch(epoch);
-  }
+
+  // Phase B: the walk-order commit.
+  commit_epoch(epoch);
 }
 
-void DirqNetwork::rebuild_parallel_plan() {
-  ParallelEngine& pe = *par_;
-  pe.mac_mode = transport_ != instant_.get();
-  pe.tree_mode = !pe.mac_mode && trees_.count() > 1;
-  if (pe.mac_mode) {
-    // Chunk mode: contiguous chunks of the reversed (alive-filtered)
-    // epoch walk, concatenating to exactly the sequential order — so each
-    // per-type batch stays one contiguous segment per shard and the
-    // existing plan_seg/offsets machinery applies, with an empty
-    // serial-root segment.
-    pe.walk.clear();
-    const std::vector<NodeId>& order = epoch_walk_order();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      if (topo_.is_alive(*it)) pe.walk.push_back(*it);
-    }
-    const std::size_t S = std::max<std::size_t>(
-        1, std::min<std::size_t>(pe.pool.size(), pe.walk.size()));
-    pe.shards.assign(S, {});
-    pe.shard_of.assign(nodes_.size(), ParallelEngine::kNoShard);
-    for (std::size_t s = 0; s < S; ++s) {
-      const std::size_t b = s * pe.walk.size() / S;
-      const std::size_t e = (s + 1) * pe.walk.size() / S;
-      pe.shards[s].assign(pe.walk.begin() + b, pe.walk.begin() + e);
-      for (NodeId u : pe.shards[s]) pe.shard_of[u] = s;
-    }
-    pe.claim_order.resize(S);
-    std::iota(pe.claim_order.begin(), pe.claim_order.end(), std::size_t{0});
-
-    std::size_t type_count = 0;
-    for (NodeId u : pe.walk) {
-      for (SensorType t : topo_.node(u).sensors) {
-        type_count = std::max<std::size_t>(type_count, t + 1);
-      }
-    }
-    pe.plan_nodes.assign(type_count, {});
-    pe.plan_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
-    for (std::size_t s = 0; s < S; ++s) {
-      for (std::size_t t = 0; t < type_count; ++t) {
-        pe.plan_seg[t][s] = pe.plan_nodes[t].size();
-      }
-      for (NodeId u : pe.shards[s]) {
-        for (SensorType t : topo_.node(u).sensors) {
-          pe.plan_nodes[t].push_back(u);
-        }
-      }
-    }
-    for (std::size_t t = 0; t < type_count; ++t) {
-      // The root is inside a chunk; the serial-root segment is empty.
-      pe.plan_seg[t][S] = pe.plan_nodes[t].size();
-      pe.plan_seg[t][S + 1] = pe.plan_nodes[t].size();
-    }
-
-    pe.gated = cfg_.sampling.enabled;
-    if (pe.gated) {
-      pe.next_due.assign(type_count, {});
-      for (std::size_t t = 0; t < type_count; ++t) {
-        pe.next_due[t].resize(pe.plan_nodes[t].size());
-        for (std::size_t j = 0; j < pe.plan_nodes[t].size(); ++j) {
-          pe.next_due[t][j] = samplers_[pe.plan_nodes[t][j]].next_due(
-              static_cast<SensorType>(t));
-        }
-      }
-    } else {
-      pe.next_due.clear();
-    }
-
-    pe.ctx.resize(S);
-    for (EpochShardCtx& ctx : pe.ctx) {
-      ctx.tx_delta.assign(topo_.size(), 0);
-      ctx.rx_delta.assign(topo_.size(), 0);
-      ctx.tree_delta.assign(trees_.count(), CostLedger{});
-    }
-    pe.due_mask.assign(type_count, {});
-    pe.filt_nodes.assign(type_count, {});
-    pe.filt_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
-    pe.values.resize(type_count);
-    pe.plan_alive = topo_.alive_count();
-    pe.plan_dirty = false;
-    return;
+void DirqNetwork::rebuild_plan() {
+  EpochPlan& p = *plan_;
+  const std::size_t trees = trees_.count();
+  // Leaves first (reversed BFS): the within-epoch update cascade then
+  // settles in a single pass on the instant transport. Members killed but
+  // not yet repaired (LMAC detects deaths after a timeout) are skipped.
+  std::vector<std::uint32_t> pos_of(topo_.size(), 0);
+  p.walk.clear();
+  const std::vector<NodeId>& order = epoch_walk_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    if (!topo_.is_alive(*it)) continue;
+    pos_of[*it] = static_cast<std::uint32_t>(p.walk.size());
+    p.walk.push_back(*it);
   }
-  if (pe.tree_mode) {
-    // Tree-shard mode: shard k is tree k. Every shard repeats the full
-    // reversed union walk (the sequential multi-sink order), advancing
-    // only its own tree's slot per node; plan_nodes[t] is that walk
-    // restricted to nodes carrying t, which is exactly the sequential
-    // gather order, so batches — and therefore readings — are identical.
-    const std::size_t S = trees_.count();
-    pe.shards.clear();
-    pe.shard_of.clear();
-    pe.walk.clear();
-    const std::vector<NodeId>& order = epoch_walk_order();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      if (topo_.is_alive(*it)) pe.walk.push_back(*it);
-    }
-    pe.claim_order.resize(S);
-    std::iota(pe.claim_order.begin(), pe.claim_order.end(), std::size_t{0});
+  p.step_due.assign(p.walk.size(), 0);
+  p.members = p.walk;
+  std::sort(p.members.begin(), p.members.end());
+  const std::size_t w = p.members.size();
+  const std::size_t chunks =
+      pool_ ? std::clamp<std::size_t>(w, 1, pool_->size() * kChunksPerThread)
+            : 1;
+  p.chunk_off.resize(chunks + 1);
+  for (std::size_t c = 0; c <= chunks; ++c) p.chunk_off[c] = c * w / chunks;
 
-    std::size_t type_count = 0;
-    for (NodeId u : pe.walk) {
-      for (SensorType t : topo_.node(u).sensors) {
-        type_count = std::max<std::size_t>(type_count, t + 1);
-      }
-    }
-    pe.plan_nodes.assign(type_count, {});
-    pe.plan_seg.clear();
-    for (NodeId u : pe.walk) {
-      for (SensorType t : topo_.node(u).sensors) pe.plan_nodes[t].push_back(u);
-    }
-
-    pe.gated = cfg_.sampling.enabled;
-    if (pe.gated) {
-      pe.next_due.assign(type_count, {});
-      for (std::size_t t = 0; t < type_count; ++t) {
-        pe.next_due[t].resize(pe.plan_nodes[t].size());
-        for (std::size_t j = 0; j < pe.plan_nodes[t].size(); ++j) {
-          pe.next_due[t][j] = samplers_[pe.plan_nodes[t][j]].next_due(
-              static_cast<SensorType>(t));
-        }
-      }
-    } else {
-      pe.next_due.clear();
-    }
-
-    pe.ctx.resize(S);
-    for (EpochShardCtx& ctx : pe.ctx) {
-      ctx.tx_delta.assign(topo_.size(), 0);
-      ctx.rx_delta.assign(topo_.size(), 0);
-    }
-    pe.due_mask.assign(type_count, {});
-    pe.filt_nodes.assign(type_count, {});
-    pe.filt_seg.clear();
-    pe.values.resize(type_count);
-    pe.plan_alive = topo_.alive_count();
-    pe.plan_dirty = false;
-    return;
-  }
-  const net::SpanningTree& tree0 = trees_.tree(0);
-  pe.shards = tree0.subtree_partition();
-  // Leaves-first within each shard: the same relative order the reversed
-  // global walk visits that subtree in, so intra-shard cascades settle in
-  // one pass exactly as they do sequentially.
-  for (std::vector<NodeId>& s : pe.shards) std::reverse(s.begin(), s.end());
-  const std::size_t S = pe.shards.size();
-  pe.shard_of.assign(nodes_.size(), ParallelEngine::kNoShard);
-  for (std::size_t s = 0; s < S; ++s) {
-    for (NodeId u : pe.shards[s]) pe.shard_of[u] = s;
-  }
-  // Dynamic claiming plus largest-first ordering keeps the pool busy when
-  // subtree sizes are skewed; processing order is unobservable (shards are
-  // disjoint and root-bound merges happen in shard-index order later).
-  pe.claim_order.resize(S);
-  std::iota(pe.claim_order.begin(), pe.claim_order.end(), std::size_t{0});
-  std::stable_sort(pe.claim_order.begin(), pe.claim_order.end(),
-                   [&pe](std::size_t a, std::size_t b) {
-                     return pe.shards[a].size() > pe.shards[b].size();
-                   });
-
+  // Node::sensors is sorted + deduplicated by every Topology entry point,
+  // so a (node, type) pair occurs at most once per plan.
   std::size_t type_count = 0;
-  const auto scan_types = [&](NodeId u) {
+  for (NodeId u : p.members) {
     for (SensorType t : topo_.node(u).sensors) {
       type_count = std::max<std::size_t>(type_count, t + 1);
     }
-  };
-  for (const std::vector<NodeId>& shard : pe.shards) {
-    for (NodeId u : shard) scan_types(u);
   }
-  const bool root_in_tree = tree0.in_tree(root_);
-  if (root_in_tree) scan_types(root_);
-
-  pe.plan_nodes.assign(type_count, {});
-  pe.plan_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
-  const auto append_walk = [&](NodeId u) {
-    for (SensorType t : topo_.node(u).sensors) pe.plan_nodes[t].push_back(u);
-  };
-  for (std::size_t s = 0; s < S; ++s) {
-    for (std::size_t t = 0; t < type_count; ++t) {
-      pe.plan_seg[t][s] = pe.plan_nodes[t].size();
-    }
-    for (NodeId u : pe.shards[s]) append_walk(u);
+  p.gated = cfg_.sampling.enabled;
+  p.adaptive = cfg_.mode == NetworkConfig::ThetaMode::Atc;
+  p.member_pos.clear();
+  p.sensor_count.clear();
+  p.types.resize(type_count);
+  for (EpochPlan::TypePlan& tp : p.types) {
+    tp.nodes.clear();
+    tp.pos.clear();
+    tp.attached.clear();
+    tp.own.clear();
+    tp.next_due.clear();
+    tp.seg.resize(chunks + 1);
+    tp.batch_seg.resize(chunks + 1);
   }
-  for (std::size_t t = 0; t < type_count; ++t) {
-    pe.plan_seg[t][S] = pe.plan_nodes[t].size();
-  }
-  if (root_in_tree) append_walk(root_);
-  for (std::size_t t = 0; t < type_count; ++t) {
-    pe.plan_seg[t][S + 1] = pe.plan_nodes[t].size();
-  }
-
-  pe.gated = cfg_.sampling.enabled;
-  if (pe.gated) {
-    pe.next_due.assign(type_count, {});
-    for (std::size_t t = 0; t < type_count; ++t) {
-      pe.next_due[t].resize(pe.plan_nodes[t].size());
-      for (std::size_t j = 0; j < pe.plan_nodes[t].size(); ++j) {
-        pe.next_due[t][j] =
-            samplers_[pe.plan_nodes[t][j]].next_due(static_cast<SensorType>(t));
+  for (std::size_t c = 0; c < chunks; ++c) {
+    for (EpochPlan::TypePlan& tp : p.types) tp.seg[c] = tp.nodes.size();
+    for (std::size_t i = p.chunk_off[c]; i < p.chunk_off[c + 1]; ++i) {
+      const NodeId u = p.members[i];
+      const DirqNode& node = nodes_[u];
+      const std::vector<SensorType>& sensors = topo_.node(u).sensors;
+      p.member_pos.push_back(pos_of[u]);
+      p.sensor_count.push_back(static_cast<std::uint32_t>(sensors.size()));
+      for (SensorType t : sensors) {
+        EpochPlan::TypePlan& tp = p.types[t];
+        tp.nodes.push_back(u);
+        tp.pos.push_back(pos_of[u]);
+        tp.attached.push_back(std::binary_search(node.sensors().begin(),
+                                                 node.sensors().end(), t));
+        for (TreeId k = 0; k < trees; ++k) {
+          const RangeTable* table = node.table(k, t);
+          if (table != nullptr && table->own().has_value()) {
+            tp.own.push_back({table->own()->min, table->own()->max});
+          } else {
+            tp.own.push_back({kNoTuple, kNoTuple});
+          }
+        }
+        if (p.gated) tp.next_due.push_back(samplers_[u].next_due(t));
       }
     }
-  } else {
-    pe.next_due.clear();
   }
-
-  pe.ctx.resize(S);
-  for (EpochShardCtx& ctx : pe.ctx) {
-    ctx.tx_delta.assign(topo_.size(), 0);
-    ctx.rx_delta.assign(topo_.size(), 0);
-  }
-  pe.due_mask.assign(type_count, {});
-  pe.filt_nodes.assign(type_count, {});
-  pe.filt_seg.assign(type_count, std::vector<std::size_t>(S + 2, 0));
-  pe.values.resize(type_count);
-  pe.plan_alive = topo_.alive_count();
-  pe.plan_dirty = false;
+  for (EpochPlan::TypePlan& tp : p.types) tp.seg[chunks] = tp.nodes.size();
+  p.chunks.resize(chunks);
+  p.probed = nullptr;
+  p.topo_revision = topo_.revision();
+  plan_dirty_ = false;
 }
 
-void DirqNetwork::parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
-                                   const Message& msg) {
-  // Mirrors InstantTransport::unicast against the shard ledger (same
-  // classification helpers, same lost/out-of-range semantics); in subtree
-  // mode root-bound deliveries are deferred to the serial merge.
-  InstantTransport::charge_tx(ctx.ledger, msg);
-  if (to >= topo_.size() || !topo_.is_alive(to)) return;  // lost
-  const auto nbrs = topo_.neighbors(from);
-  if (!std::binary_search(nbrs.begin(), nbrs.end(), to)) return;
-  InstantTransport::charge_rx(ctx.ledger, msg);
-  // CRC loss, decided inside the shard: the verdict is a pure function of
-  // (tree, from, to, per-key seq) and this shard owns the key — tree-shard
-  // mode owns the whole tree plane, subtree mode owns the sender — so it
-  // equals the sequential verdict. The radio paid (rx charged above +
-  // rx_delta here, mirroring note_dropped_rx); the frame goes no further
-  // — root-bound drops are never deferred.
-  if (loss_ != nullptr) {
-    ++ctx.loss_offered;
-    if (loss_->next_drop(message_tree(msg), from, to)) {
-      ++ctx.loss_dropped;
-      ctx.rx_delta[to] += 1;
-      return;
-    }
+void DirqNetwork::fetch_readings(const data::ReadingSource& env,
+                                 bool in_phase_a) {
+  EpochPlan& p = *plan_;
+  p.active.clear();
+  for (std::size_t t = 0; t < p.types.size(); ++t) {
+    EpochPlan::TypePlan& tp = p.types[t];
+    tp.values.resize(tp.sampled(p.gated).size());
+    if (!tp.values.empty()) p.active.push_back(static_cast<SensorType>(t));
   }
-  if (par_->tree_mode) {
-    // Shard k owns tree k: the receiver's slot k is only ever touched by
-    // this thread (DirqNode::handle dispatches on the message's tree tag),
-    // so delivery is inline — roots included.
-    if (message_tree(msg) != static_cast<TreeId>(ctx.index)) {
-      throw std::logic_error(
-          "DirqNetwork: cross-tree message during a tree-sharded epoch");
+  if (in_phase_a) {
+    // Chunks of one type read concurrently only once the source's lazy
+    // node adoption is settled (FastField grows its per-node cache on
+    // first sight of a node id): one serial reading of the highest
+    // planned node per type does it, and readings are pure, so the probe
+    // is unobservable. Post-deployment types beyond the source's range
+    // are left to the batch call, which raises.
+    if (p.chunks.size() > 1 && p.probed != &env) {
+      for (std::size_t t = 0; t < p.types.size() && t < env.type_count();
+           ++t) {
+        if (p.types[t].nodes.empty()) continue;
+        (void)env.reading(p.types[t].nodes.back(), static_cast<SensorType>(t));
+      }
+      p.probed = &env;
     }
-    ctx.rx_delta[to] += 1;
-    nodes_[to].handle(msg, from, current_epoch_);
     return;
   }
-  if (to == root_) {
-    ctx.to_root.emplace_back(from, msg);
+  const auto fetch = [&env, &p](std::size_t k) {
+    const SensorType t = p.active[k];
+    EpochPlan::TypePlan& tp = p.types[t];
+    env.readings(t, tp.sampled(p.gated), tp.values);
+  };
+  if (pool_ && env.concurrent_type_batches()) {
+    pool_->parallel_for(p.active.size(), fetch);
+  } else {
+    for (std::size_t k = 0; k < p.active.size(); ++k) fetch(k);
+  }
+}
+
+void DirqNetwork::sense_chunk(const data::ReadingSource& env, std::size_t c,
+                              bool fetch, std::int64_t epoch) {
+  EpochPlan& p = *plan_;
+  std::vector<EpochPlan::Crossing>& crossings = p.chunks[c].crossings;
+  const std::size_t trees = trees_.count();
+  crossings.clear();
+  // Type-major: a type's slots in this chunk are one sequential scan of
+  // the plan arrays. Work on different types of one node commutes — the
+  // gate and the controllers keep independent per-type state — and a
+  // node's crossings still come out in ascending type, then tree, order:
+  // the order sample() visits them.
+  for (std::size_t t = 0; t < p.types.size(); ++t) {
+    EpochPlan::TypePlan& tp = p.types[t];
+    const auto type = static_cast<SensorType>(t);
+    const std::vector<std::size_t>& vseg = tp.sampled_seg(p.gated);
+    std::size_t v = vseg[c];
+    if (fetch && v < vseg[c + 1]) {
+      const std::size_t n = vseg[c + 1] - v;
+      env.readings(type,
+                   std::span<const NodeId>(tp.sampled(p.gated)).subspan(v, n),
+                   std::span<double>(tp.values).subspan(v, n));
+    }
+    for (std::size_t j = tp.seg[c]; j < tp.seg[c + 1]; ++j) {
+      const NodeId u = tp.nodes[j];
+      if (p.gated) {
+        SamplingController& gate = samplers_[u];
+        if (!tp.due[j]) {
+          gate.on_skip(type);  // predictor confident: save the ADC energy (§8)
+          continue;
+        }
+        // The gate reads tree 0's theta, which moves only in on_epoch and
+        // on_ehr — never during an epoch's sensing.
+        gate.on_sample(type, tp.values[v], nodes_[u].controller().theta(type),
+                       epoch);
+        tp.next_due[j] = gate.next_due(type);
+      }
+      const double reading = tp.values[v++];
+      if (!tp.attached[j]) continue;  // DirqNode::sample's sensor guard
+      if (p.adaptive) nodes_[u].observe_reading(type, reading);
+      const OwnTuple* own = &tp.own[j * trees];
+      for (std::size_t k = 0; k < trees; ++k) {
+        if (!(reading >= own[k].lo && reading <= own[k].hi)) {
+          crossings.push_back({tp.pos[j], static_cast<TreeId>(k), type,
+                               static_cast<std::uint32_t>(j), reading});
+        }
+      }
+    }
+  }
+  if (!p.gated) {
+    for (std::size_t i = p.chunk_off[c]; i < p.chunk_off[c + 1]; ++i) {
+      samplers_[p.members[i]].count_sample(p.sensor_count[i]);
+    }
+  }
+  if (!p.adaptive) return;
+  // A node's end-of-epoch step runs here when every slot's step commutes
+  // with the epoch's remaining hooks (ATC between adjustments: a window
+  // trim); otherwise phase B runs it at the node's walk position.
+  for (std::size_t i = p.chunk_off[c]; i < p.chunk_off[c + 1]; ++i) {
+    DirqNode& node = nodes_[p.members[i]];
+    bool commutes = true;
+    for (TreeId k = 0; k < trees && commutes; ++k) {
+      commutes = node.controller(k).epoch_step_commutes(epoch);
+    }
+    if (commutes) {
+      node.end_epoch(epoch);
+    } else {
+      p.step_due[p.member_pos[i]] = 1;
+    }
+  }
+}
+
+void DirqNetwork::commit_epoch(std::int64_t epoch) {
+  EpochPlan& p = *plan_;
+  const std::size_t trees = trees_.count();
+  // A node's crossings all come from one chunk, already in commit order,
+  // so a stable sort by walk position yields the walk's commit sequence.
+  p.crossings.clear();
+  for (const EpochPlan::Chunk& ch : p.chunks) {
+    p.crossings.insert(p.crossings.end(), ch.crossings.begin(),
+                       ch.crossings.end());
+  }
+  std::stable_sort(p.crossings.begin(), p.crossings.end(),
+                   [](const EpochPlan::Crossing& a,
+                      const EpochPlan::Crossing& b) { return a.pos < b.pos; });
+  const auto commit = [&](const EpochPlan::Crossing& x) {
+    const RangeEntry own = nodes_[p.walk[x.pos]].commit_reading(
+        x.tree, x.type, x.reading, epoch);
+    p.types[x.type].own[x.slot * trees + x.tree] = {own.min, own.max};
+  };
+  if (!p.adaptive) {
+    // Fixed theta: only the nodes with crossings are visited.
+    for (const EpochPlan::Crossing& x : p.crossings) commit(x);
     return;
   }
-  if (par_->shard_of[to] != ctx.index) {
-    throw std::logic_error(
-        "DirqNetwork: cross-shard delivery — node parent state diverged "
-        "from the spanning tree");
-  }
-  ctx.rx_delta[to] += 1;
-  nodes_[to].handle(msg, from, current_epoch_);
-}
-
-void DirqNetwork::run_shard_consume(std::size_t shard, std::int64_t epoch) {
-  ParallelEngine& pe = *par_;
-  EpochShardCtx& ctx = pe.ctx[shard];
-  const TlsShardGuard guard(&ctx);
-  const std::size_t type_count = pe.plan_nodes.size();
-  ctx.plan_cur.resize(type_count);
-  ctx.val_cur.resize(type_count);
-  for (std::size_t t = 0; t < type_count; ++t) {
-    ctx.plan_cur[t] = pe.plan_seg[t][shard];
-    ctx.val_cur[t] = pe.offsets(t)[shard];
-  }
-  for (NodeId u : pe.shards[shard]) {
-    if (!topo_.is_alive(u)) {
-      throw std::logic_error(
-          "DirqNetwork: aliveness changed without tree repair during a "
-          "parallel run");
+  // ATC: an end-of-epoch step phase A left here runs at the node's walk
+  // position, after its own commits and before any later node's. A child
+  // later in a multi-sink union walk can still relay through the node
+  // afterwards, exactly as in a sequential walk.
+  std::size_t i = 0;
+  for (std::uint32_t pos = 0; pos < p.walk.size(); ++pos) {
+    for (; i < p.crossings.size() && p.crossings[i].pos == pos; ++i) {
+      commit(p.crossings[i]);
     }
-    const net::Node& info = topo_.node(u);
-    SamplingController& gate = samplers_[u];
-    if (!pe.gated) {
-      for (SensorType t : info.sensors) {
-        nodes_[u].sample(t, pe.values[t][ctx.val_cur[t]++], epoch);
-        gate.count_sample();
-      }
-    } else {
-      for (SensorType t : info.sensors) {
-        const std::size_t j = ctx.plan_cur[t]++;
-        if (!pe.due_mask[t][j]) {
-          gate.on_skip(t);
-          continue;
-        }
-        const double reading = pe.values[t][ctx.val_cur[t]++];
-        nodes_[u].sample(t, reading, epoch);
-        gate.on_sample(t, reading, nodes_[u].controller().theta(t), epoch);
-        pe.next_due[t][j] = gate.next_due(t);  // slot owned by this shard
-      }
+    if (p.step_due[pos]) {
+      p.step_due[pos] = 0;
+      nodes_[p.walk[pos]].end_epoch(epoch);
     }
-    nodes_[u].end_epoch(epoch);
-  }
-}
-
-void DirqNetwork::run_tree_shard_consume(std::size_t shard,
-                                         std::int64_t epoch) {
-  ParallelEngine& pe = *par_;
-  EpochShardCtx& ctx = pe.ctx[shard];
-  const TlsShardGuard guard(&ctx);
-  const TreeId tree = static_cast<TreeId>(shard);
-  // Shard 0 owns the shared sampling gate: it does the predictor
-  // bookkeeping inline, exactly where the sequential walk does, and it is
-  // also the shard that mutates the tree-0 controller whose theta the
-  // gate reads — so its interleaving matches the sequential pass. The
-  // other shards branch on the due_mask snapshot instead of touching the
-  // gate at all.
-  const bool lead = shard == 0;
-  const std::size_t type_count = pe.plan_nodes.size();
-  ctx.plan_cur.assign(type_count, 0);
-  ctx.val_cur.assign(type_count, 0);
-  for (NodeId u : pe.walk) {
-    if (!topo_.is_alive(u)) {
-      throw std::logic_error(
-          "DirqNetwork: aliveness changed without tree repair during a "
-          "parallel run");
-    }
-    const net::Node& info = topo_.node(u);
-    SamplingController& gate = samplers_[u];
-    if (!pe.gated) {
-      for (SensorType t : info.sensors) {
-        nodes_[u].sample_slot(tree, t, pe.values[t][ctx.val_cur[t]++], epoch);
-        if (lead) gate.count_sample();
-      }
-    } else {
-      for (SensorType t : info.sensors) {
-        const std::size_t j = ctx.plan_cur[t]++;
-        if (!pe.due_mask[t][j]) {
-          if (lead) gate.on_skip(t);
-          continue;
-        }
-        const double reading = pe.values[t][ctx.val_cur[t]++];
-        nodes_[u].sample_slot(tree, t, reading, epoch);
-        if (lead) {
-          gate.on_sample(t, reading, nodes_[u].controller().theta(t), epoch);
-          pe.next_due[t][j] = gate.next_due(t);  // only shard 0 writes
-        }
-      }
-    }
-    nodes_[u].end_epoch_slot(tree, epoch);
-  }
-}
-
-void DirqNetwork::process_epoch_parallel(const data::ReadingSource& env,
-                                         std::int64_t epoch) {
-  ParallelEngine& pe = *par_;
-  const bool want_mac = transport_ != instant_.get();
-  const bool rebuilt = pe.plan_dirty || pe.plan_alive != topo_.alive_count() ||
-                       pe.mac_mode != want_mac;
-  if (rebuilt) rebuild_parallel_plan();
-  const std::size_t S = pe.tree_mode ? pe.ctx.size() : pe.shards.size();
-  const std::size_t type_count = pe.plan_nodes.size();
-
-  // Intra-type chunking needs the source's lazy node adoption settled
-  // before chunks of one type run concurrently (FastField grows its
-  // per-node cache on first sight of a node id). One serial probe of the
-  // highest planned node per type — readings are pure, so this has no
-  // observable effect — guarantees every chunk only reads adopted state.
-  const bool chunked_fetch = env.concurrent_type_batches() &&
-                             env.concurrent_intra_type_chunks();
-  if (rebuilt && chunked_fetch) {
-    for (std::size_t t = 0; t < type_count; ++t) {
-      if (pe.plan_nodes[t].empty() || t >= env.type_count()) continue;
-      const NodeId mx =
-          *std::max_element(pe.plan_nodes[t].begin(), pe.plan_nodes[t].end());
-      (void)env.reading(mx, static_cast<SensorType>(t));
-    }
-  }
-
-  // Gather: with the gate off (the paper's configuration) the cached plan
-  // lists *are* the batches — zero per-epoch work. With it on, the gate
-  // is a branch-light two-pass sweep per type over the next_due mirror
-  // (gate_scan.hpp: a vectorizable compare pass into due_mask, then an
-  // unconditional-store compaction); slots only change through on_sample,
-  // so the mask branches exactly like the sequential should_sample walk.
-  if (pe.gated) {
-    for (std::size_t t = 0; t < type_count; ++t) {
-      const std::vector<NodeId>& pn = pe.plan_nodes[t];
-      const std::vector<std::int64_t>& due = pe.next_due[t];
-      const std::size_t n = pn.size();
-      pe.due_mask[t].resize(n);
-      gate_scan_mask(due.data(), n, epoch, pe.due_mask[t].data());
-      pe.filt_nodes[t].resize(n);
-      if (pe.tree_mode) {
-        const std::size_t m = gate_compact(pn.data(), pe.due_mask[t].data(),
-                                           0, n, pe.filt_nodes[t].data());
-        pe.filt_nodes[t].resize(m);
-      } else {
-        std::size_t m = 0;
-        for (std::size_t s = 0; s <= S; ++s) {
-          pe.filt_seg[t][s] = m;
-          m += gate_compact(pn.data(), pe.due_mask[t].data(),
-                            pe.plan_seg[t][s], pe.plan_seg[t][s + 1],
-                            pe.filt_nodes[t].data() + m);
-        }
-        pe.filt_seg[t][S + 1] = m;
-        pe.filt_nodes[t].resize(m);
-      }
-    }
-  }
-
-  // Readings: batched per sensor type; types run concurrently when the
-  // source's per-type state is disjoint (both synthetic backends), and a
-  // single type's batch additionally splits into chunks when the source
-  // supports it (FastField's per-thread cell scratch) — either way the
-  // same values, since readings are pure at a fixed epoch.
-  pe.active_types.clear();
-  pe.fetch_tasks.clear();
-  std::size_t total_batch = 0;
-  for (std::size_t t = 0; t < type_count; ++t) {
-    const std::vector<NodeId>& batch = pe.batch(t);
-    pe.values[t].resize(batch.size());
-    total_batch += batch.size();
-    if (!batch.empty()) pe.active_types.push_back(static_cast<SensorType>(t));
-  }
-  // Chunk size depends only on the plan and the pool width, never on
-  // timing, so the task list — and every readings() argument — is
-  // deterministic.
-  constexpr std::size_t kMinChunk = 128;
-  const std::size_t target =
-      chunked_fetch
-          ? std::max(kMinChunk,
-                     total_batch / (static_cast<std::size_t>(pe.pool.size()) * 2))
-          : 0;
-  for (SensorType t : pe.active_types) {
-    const std::size_t n = pe.batch(t).size();
-    if (!chunked_fetch || n <= target) {
-      pe.fetch_tasks.push_back({t, 0, n});
-      continue;
-    }
-    for (std::size_t b = 0; b < n; b += target) {
-      pe.fetch_tasks.push_back({t, b, std::min(b + target, n)});
-    }
-  }
-  const auto fetch = [&](std::size_t k) {
-    const ParallelEngine::FetchTask& ft = pe.fetch_tasks[k];
-    const std::vector<NodeId>& batch = pe.batch(ft.type);
-    env.readings(ft.type,
-                 std::span<const NodeId>(batch).subspan(ft.begin,
-                                                        ft.end - ft.begin),
-                 std::span<double>(pe.values[ft.type])
-                     .subspan(ft.begin, ft.end - ft.begin));
-  };
-  if (env.concurrent_type_batches()) {
-    pe.pool.parallel_for(pe.fetch_tasks.size(), fetch);
-  } else {
-    for (std::size_t k = 0; k < pe.fetch_tasks.size(); ++k) fetch(k);
-  }
-
-  // Consume: one task per shard (per tree in tree-shard mode).
-  for (std::size_t s = 0; s < S; ++s) {
-    EpochShardCtx& ctx = pe.ctx[s];
-    ctx.index = s;
-    ctx.ledger = CostLedger{};
-    ctx.update_msgs = 0;
-    ctx.to_root.clear();
-    ctx.loss_offered = 0;
-    ctx.loss_dropped = 0;
-    if (pe.mac_mode) ctx.tree_delta.assign(trees_.count(), CostLedger{});
-  }
-  if (pe.tree_mode) {
-    pe.pool.parallel_for(S, [this, epoch](std::size_t k) {
-      run_tree_shard_consume(k, epoch);
-    });
-  } else {
-    pe.pool.parallel_for(S, [this, &pe, epoch](std::size_t k) {
-      run_shard_consume(pe.claim_order[k], epoch);
-    });
-  }
-
-  // Merge, in shard-index order (deterministic): ledgers and counters are
-  // sums, so totals equal the sequential pass; the update hook fires once
-  // per transmission with the same epoch, so recorded series are
-  // identical. Each shard's ledger also merges into its tree's mirror —
-  // in tree-shard mode shard k carries exactly tree k's traffic (asserted
-  // in parallel_unicast), in subtree mode everything belongs to tree 0,
-  // and in chunk mode the shard carried its own per-tree tree_delta
-  // mirror. Lossy-channel offered/dropped tallies merge in the same fixed
-  // order. Per-node tx/rx deltas merge (and reset) likewise.
-  CostLedger& ledger = transport_->mutable_costs();
-  for (std::size_t s = 0; s < S; ++s) {
-    EpochShardCtx& ctx = pe.ctx[s];
-    accumulate(ledger, ctx.ledger);
-    if (pe.mac_mode) {
-      for (std::size_t t = 0; t < ctx.tree_delta.size(); ++t) {
-        accumulate(tree_ledgers_[t], ctx.tree_delta[t]);
-      }
-    } else {
-      accumulate(tree_ledgers_[pe.tree_mode ? s : 0], ctx.ledger);
-    }
-    if (loss_ != nullptr) {
-      loss_->add_counts(ctx.loss_offered, ctx.loss_dropped);
-    }
-    updates_transmitted_ += ctx.update_msgs;
-    if (update_hook_) {
-      for (std::int64_t i = 0; i < ctx.update_msgs; ++i) update_hook_(epoch);
-    }
-    const std::size_t n = std::min(ctx.tx_delta.size(), node_tx_.size());
-    for (std::size_t u = 0; u < n; ++u) {
-      node_tx_[u] += ctx.tx_delta[u];
-      node_rx_[u] += ctx.rx_delta[u];
-      ctx.tx_delta[u] = 0;
-      ctx.rx_delta[u] = 0;
-    }
-  }
-  // Tree-shard and chunk modes: no deferred deliveries, no serial root
-  // pass (each tree's cascade stayed inside its shard / the root sat
-  // inside its chunk).
-  if (pe.tree_mode || pe.mac_mode) return;
-  merging_parallel_ = true;
-  for (std::size_t s = 0; s < S; ++s) {
-    for (const auto& [from, msg] : pe.ctx[s].to_root) {
-      deliver(root_, from, msg);  // rx already charged by the shard
-    }
-  }
-  merging_parallel_ = false;
-
-  // The root itself, serially and last — as the reversed global walk does.
-  if (trees_.tree(0).in_tree(root_)) {
-    if (!topo_.is_alive(root_)) {
-      throw std::logic_error(
-          "DirqNetwork: aliveness changed without tree repair during a "
-          "parallel run");
-    }
-    pe.root_plan_cur.resize(type_count);
-    pe.root_val_cur.resize(type_count);
-    for (std::size_t t = 0; t < type_count; ++t) {
-      pe.root_plan_cur[t] = pe.plan_seg[t][S];
-      pe.root_val_cur[t] = pe.offsets(t)[S];
-    }
-    const net::Node& info = topo_.node(root_);
-    SamplingController& gate = samplers_[root_];
-    if (!pe.gated) {
-      for (SensorType t : info.sensors) {
-        nodes_[root_].sample(t, pe.values[t][pe.root_val_cur[t]++], epoch);
-        gate.count_sample();
-      }
-    } else {
-      for (SensorType t : info.sensors) {
-        const std::size_t j = pe.root_plan_cur[t]++;
-        if (!pe.due_mask[t][j]) {
-          gate.on_skip(t);
-          continue;
-        }
-        const double reading = pe.values[t][pe.root_val_cur[t]++];
-        nodes_[root_].sample(t, reading, epoch);
-        gate.on_sample(t, reading, nodes_[root_].controller().theta(t), epoch);
-        pe.next_due[t][j] = gate.next_due(t);
-      }
-    }
-    nodes_[root_].end_epoch(epoch);
   }
 }
 
@@ -1159,10 +670,7 @@ QueryOutcome DirqNetwork::inject(TreeId tree, const query::MultiQuery& q,
 
 void DirqNetwork::retarget_trees(NodeId changed, std::int64_t epoch) {
   const std::vector<TreeId> rebuilt = trees_.rebuild_affected(topo_, changed);
-  if (par_ != nullptr) par_->plan_dirty = true;
-  // Keep the lossy counter planes sized to the (possibly grown) topology
-  // before the next parallel epoch.
-  if (loss_ != nullptr) loss_->configure(trees_.count(), topo_.size());
+  plan_dirty_ = true;
   if (nodes_.size() < topo_.size()) {
     // Brand-new node slots appended by Topology::add_node.
     for (NodeId u = static_cast<NodeId>(nodes_.size()); u < topo_.size(); ++u) {
@@ -1240,7 +748,6 @@ void DirqNetwork::handle_node_addition(NodeId added, std::int64_t epoch) {
 void DirqNetwork::handle_sensor_added(NodeId id, SensorType type,
                                       std::int64_t epoch) {
   current_epoch_ = epoch;
-  if (par_ != nullptr) par_->plan_dirty = true;
   nodes_.at(id).attach_sensor(type);
   // The new sensor announces itself with the node's next sample; nothing
   // to push yet (there is no reading).
@@ -1249,7 +756,6 @@ void DirqNetwork::handle_sensor_added(NodeId id, SensorType type,
 void DirqNetwork::handle_sensor_removed(NodeId id, SensorType type,
                                         std::int64_t epoch) {
   current_epoch_ = epoch;
-  if (par_ != nullptr) par_->plan_dirty = true;
   nodes_.at(id).detach_sensor(type, epoch);
 }
 

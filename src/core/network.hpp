@@ -36,6 +36,10 @@
 #include "query/query.hpp"
 #include "sim/types.hpp"
 
+namespace dirq::sim {
+class ThreadPool;
+}  // namespace dirq::sim
+
 namespace dirq::core {
 
 /// Result of injecting one query.
@@ -57,8 +61,7 @@ struct NetworkConfig {
   SamplingConfig sampling;
 };
 
-struct EpochShardCtx;  // parallel epoch internals (network.cpp)
-class LossChannel;     // counter-keyed CRC-loss model (core/lossy.hpp)
+class LossChannel;  // counter-keyed CRC-loss model (core/lossy.hpp)
 
 class DirqNetwork final : public MessageSink {
  public:
@@ -88,10 +91,8 @@ class DirqNetwork final : public MessageSink {
   /// Installs (or clears, with nullptr) the lossy-channel model: every
   /// delivery — any transport — rolls a counter-keyed drop verdict after
   /// the radio's rx has been charged, and dropped frames never reach the
-  /// protocol (the exact LossySink semantics, folded into deliver() so the
-  /// parallel epoch engine can evaluate verdicts inside its shards). The
-  /// channel must outlive the network's use of it; its counter planes are
-  /// pre-sized here and kept sized across churn.
+  /// protocol (the exact LossySink semantics, folded into deliver()). The
+  /// channel must outlive the network's use of it.
   void set_loss(LossChannel* loss);
   [[nodiscard]] const LossChannel* loss() const noexcept { return loss_; }
 
@@ -121,43 +122,40 @@ class DirqNetwork final : public MessageSink {
 
   // --- protocol operation ----------------------------------------------------
 
-  /// One sensing epoch: every alive tree member samples each of its
-  /// sensors; threshold crossings emit Update Messages that propagate
-  /// toward each tree's root (instant transport: synchronously). Readings
-  /// are pulled through the environment's batch plane — one
-  /// ReadingSource::readings call per sensor type per epoch instead of a
-  /// virtual reading() per node — and each physical sample is observed by
-  /// every tree slot, so N sinks never multiply the sensing energy. The
-  /// walk is tree 0's cached BFS order (extended by members of other
-  /// trees outside it), so the per-node evaluation order — and therefore
-  /// every message, golden, and ledger entry — is unchanged for one sink.
+  /// One sensing epoch: every alive member of the epoch walk samples each
+  /// of its sensors; threshold crossings emit Update Messages that
+  /// propagate toward each tree's root (instant transport:
+  /// synchronously). The walk is tree 0's cached BFS order, leaves first
+  /// (extended by members of other trees outside it), so the per-node
+  /// evaluation order — and therefore every message, golden, and ledger
+  /// entry — is unchanged for one sink. Each physical sample is observed
+  /// by every tree slot, so N sinks never multiply the sensing energy.
+  ///
+  /// One two-phase engine runs every epoch, at every thread count, on
+  /// every transport and sink count:
+  ///
+  ///   * Phase A (node-local, parallel over chunks of whole nodes): the
+  ///     sampling gate, the readings (one ReadingSource::readings call
+  ///     per sensor type per chunk, or per type for sources that cannot
+  ///     split a type), the controllers' on_reading, the own-tuple test
+  ///     against a dense plane that mirrors every slot's
+  ///     RangeTable::own(), and each node's end-of-epoch controller step
+  ///     when it commutes with the rest of the epoch
+  ///     (ThetaController::epoch_step_commutes). It only records which
+  ///     readings escape their slot's tuple (paper Fig. 1).
+  ///   * Phase B (sequential, walk order): each recorded crossing is
+  ///     committed at its node's walk position — after the updates of
+  ///     children earlier in the walk, which must still aggregate the old
+  ///     own tuple — followed by the update cascade and every send,
+  ///     delivery and loss verdict exactly as a sequential walk makes
+  ///     them, then any end-of-epoch step phase A left to the walk (ATC
+  ///     adjustments). Nodes with neither are not visited.
   void process_epoch(const data::ReadingSource& env, std::int64_t epoch);
 
-  /// Intra-run worker count for process_epoch. 1 (the default) keeps the
-  /// exact sequential code path — the only configuration goldens are
-  /// recorded against; 0 means all hardware threads. With more than one
-  /// thread, epochs on the built-in instant transport shard the consume
-  /// pass — by root-child subtree for one sink (all update traffic is
-  /// up-tree unicast, so shards only interact at the root, whose
-  /// ledger/counter/FlatMap state is order-independent), and by spanning
-  /// tree for several sinks (each shard advances only its own tree's
-  /// per-node slot, so the shards are write-disjoint; shard 0 owns the
-  /// shared sampling gate) — and run reading batches concurrently, split
-  /// below whole types when the source allows. A deferred-delivery
-  /// transport (LMAC) gets a third geometry: contiguous chunks of the
-  /// epoch walk, each node fully processed in one chunk — sends only
-  /// enqueue into the sender's own per-node MAC queue, so the walk is
-  /// write-disjoint and the slot-ordered delivery loop (the MAC's
-  /// contract) stays sequential and untouched. A lossy channel
-  /// (set_loss) no longer forces the sequential path either: drop
-  /// verdicts are pure functions of delivery identity (core/lossy.hpp),
-  /// so shards evaluate them inline. Summaries are byte-identical to the
-  /// sequential path on every transport, single- and multi-sink. Epochs
-  /// inside an open query audit on the instant transport silently run the
-  /// sequential path (chunk-mode epochs perform no deliveries, so audits
-  /// are safe there). Callers that mutate topology aliveness or sensors
-  /// must route through the handle_* entry points (as always) so the
-  /// cached shard plan is invalidated.
+  /// Worker count for phase A of process_epoch (1, the default, runs it
+  /// inline; 0 means all hardware threads). Phase B is sequential at
+  /// every count, so every output is byte-identical to 1 thread by
+  /// construction.
   void set_threads(unsigned threads);
   [[nodiscard]] unsigned threads() const noexcept;
 
@@ -293,7 +291,7 @@ class DirqNetwork final : public MessageSink {
   void deliver(NodeId to, NodeId from, const Message& msg) override;
 
  private:
-  struct ParallelEngine;
+  struct EpochPlan;
 
   void wire_node(DirqNode& n);
   void begin_audit(QueryId id, TreeId tree, std::int64_t epoch);
@@ -310,15 +308,13 @@ class DirqNetwork final : public MessageSink {
   void charge_tree_rx(const Message& msg);
   [[nodiscard]] std::int64_t internal_node_count() const;
 
-  // Parallel epoch path (network.cpp): shard plan, per-shard consume,
-  // shard-local unicast mirroring InstantTransport's accounting.
-  void rebuild_parallel_plan();
-  void process_epoch_parallel(const data::ReadingSource& env,
-                              std::int64_t epoch);
-  void run_shard_consume(std::size_t shard, std::int64_t epoch);
-  void run_tree_shard_consume(std::size_t shard, std::int64_t epoch);
-  void parallel_unicast(EpochShardCtx& ctx, NodeId from, NodeId to,
-                        const Message& msg);
+  // The epoch engine (network.cpp): plan and own-tuple plane, phase A on
+  // one chunk of the walk, phase B over the recorded crossings.
+  void rebuild_plan();
+  void fetch_readings(const data::ReadingSource& env, bool in_phase_a);
+  void sense_chunk(const data::ReadingSource& env, std::size_t chunk,
+                   bool fetch, std::int64_t epoch);
+  void commit_epoch(std::int64_t epoch);
 
   net::Topology& topo_;
   NetworkConfig cfg_;
@@ -337,27 +333,19 @@ class DirqNetwork final : public MessageSink {
   Transport* transport_ = nullptr;
   LossChannel* loss_ = nullptr;  // CRC-loss model, nullptr when lossless
 
-  /// Present iff set_threads(> 1): the persistent worker pool plus the
-  /// cached shard-major walk plan (see network.cpp).
-  std::unique_ptr<ParallelEngine> par_;
-
-  // Scratch for the batched sampling path (reused across epochs so the
-  // hot loop never allocates): per sensor type, the nodes that will
-  // physically sample this epoch in walk order, their readings, and the
-  // consumption cursor of the second pass.
-  std::vector<std::vector<NodeId>> batch_nodes_;
-  std::vector<std::vector<double>> batch_values_;
-  std::vector<std::size_t> batch_cursor_;
+  /// The epoch engine's cached walk plan and own-tuple plane, rebuilt
+  /// when plan_dirty_ is set (tree repair, a new pool width, or a node
+  /// whose own tuples or sensors changed outside the engine — see
+  /// DirqNode::set_stale_flag) or the topology's revision moved.
+  std::unique_ptr<EpochPlan> plan_;
+  bool plan_dirty_ = true;
+  /// Present iff set_threads(> 1): runs phase A's chunks.
+  std::unique_ptr<sim::ThreadPool> pool_;
 
   std::int64_t current_epoch_ = 0;
   std::int64_t updates_transmitted_ = 0;
   UpdateHook update_hook_;
   QueryDoneHook query_done_hook_;
-
-  /// True while the parallel merge replays deferred root deliveries:
-  /// their rx was already charged into the shard ledger (and merged into
-  /// the tree mirror), so deliver() must not book it twice.
-  bool merging_parallel_ = false;
 
   // Per-query audit state.
   bool audit_active_ = false;

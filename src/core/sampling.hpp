@@ -56,10 +56,11 @@ class SamplingController {
   /// Records an epoch where sampling was skipped (for the energy ledger).
   void on_skip(SensorType type);
 
-  /// Fast path for the disabled gate: counts the physical sample without
+  /// Fast path for the disabled gate: counts `n` physical samples without
   /// maintaining predictor state (which is dead weight when suppression is
-  /// off — the epoch loop calls this once per sensor per node per epoch).
-  void count_sample() noexcept { ++taken_; }
+  /// off — the epoch loop calls this once per node per epoch with the
+  /// node's sensor count).
+  void count_sample(std::int64_t n = 1) noexcept { taken_ += n; }
 
   [[nodiscard]] bool enabled() const noexcept { return cfg_.enabled; }
 
@@ -72,8 +73,8 @@ class SamplingController {
   /// Epoch the next physical sample is due for a type (0 — always due —
   /// when the type has never been sampled). This is the whole gate:
   /// should_sample(t, e) == (e >= next_due(t)) for an enabled controller,
-  /// which is what lets the parallel epoch engine mirror the gate into a
-  /// flat per-shard array and evaluate it without touching the FlatMap.
+  /// which is what lets the epoch engine mirror the gate into a flat
+  /// per-type array and evaluate it without touching the FlatMap.
   [[nodiscard]] std::int64_t next_due(SensorType type) const;
 
   /// Predicted value at `epoch` (level + trend extrapolation); only

@@ -96,8 +96,7 @@ class SpanningTree {
   /// exactly as the reversed global order does. The subtrees are disjoint
   /// and their union plus the root is the member set; all DirQ update
   /// traffic is up-tree unicast, so each list is an independently
-  /// processable region whose only external edge points at the root (the
-  /// parallel epoch engine's shards).
+  /// processable region whose only external edge points at the root.
   [[nodiscard]] std::vector<std::vector<NodeId>> subtree_partition() const;
 
  private:

@@ -97,6 +97,7 @@ void Topology::kill_node(NodeId id) {
   if (!n.alive) return;
   n.alive = false;
   --alive_count_;
+  ++revision_;
   unlink_all(id);
   for (TopologyObserver* obs : observers_) obs->on_node_died(id);
 }
@@ -125,6 +126,7 @@ NodeId Topology::add_node(Node n) {
     adjacency_.emplace_back();
   }
   ++alive_count_;
+  ++revision_;
   std::vector<NodeId> cand;
   index_.candidates(nodes_[id].x, nodes_[id].y, cand);
   for (NodeId other : cand) {
@@ -140,6 +142,7 @@ void Topology::add_sensor(NodeId id, SensorType t) {
   auto it = std::lower_bound(n.sensors.begin(), n.sensors.end(), t);
   if (it != n.sensors.end() && *it == t) return;
   n.sensors.insert(it, t);
+  ++revision_;
   for (TopologyObserver* obs : observers_) obs->on_sensor_added(id, t);
 }
 
@@ -148,6 +151,7 @@ void Topology::remove_sensor(NodeId id, SensorType t) {
   auto it = std::lower_bound(n.sensors.begin(), n.sensors.end(), t);
   if (it == n.sensors.end() || *it != t) return;
   n.sensors.erase(it);
+  ++revision_;
   for (TopologyObserver* obs : observers_) obs->on_sensor_removed(id, t);
 }
 

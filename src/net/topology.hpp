@@ -102,6 +102,11 @@ class Topology {
   void add_sensor(NodeId id, SensorType t);
   void remove_sensor(NodeId id, SensorType t);
 
+  /// Bumped by every effective mutation above (death, addition or
+  /// revival, sensor change), so a cache derived from aliveness or sensor
+  /// lists can detect staleness with one compare.
+  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
+
   /// All sensor types present on any alive node, sorted and unique.
   [[nodiscard]] std::vector<SensorType> sensor_types_present() const;
 
@@ -125,6 +130,7 @@ class Topology {
   double radio_range_ = 1.0;
   std::size_t link_count_ = 0;
   std::size_t alive_count_ = 0;
+  std::uint64_t revision_ = 0;
 };
 
 }  // namespace dirq::net

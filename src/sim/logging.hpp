@@ -1,7 +1,9 @@
 // Minimal leveled logger. Off (Warn) by default so figure benches stay
 // quiet; integration tests raise the level to trace protocol behaviour.
-// Deliberately not thread-aware: the simulator is single-threaded by
-// design (deterministic event order), so a plain stream suffices.
+// Deliberately not thread-aware: the library logs only from sequential
+// code — the epoch engine's walk-order commit phase, churn repair and the
+// drivers — never from the parallel sensing phase or a pool task, so a
+// plain stream suffices and the log order is deterministic.
 #pragma once
 
 #include <iostream>

@@ -1,5 +1,7 @@
 #include "sim/thread_pool.hpp"
 
+#include <utility>
+
 namespace dirq::sim {
 
 ThreadPool::ThreadPool(unsigned threads) {
@@ -20,14 +22,17 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_claims(const std::function<void(std::size_t)>& work,
-                            std::size_t count,
-                            std::vector<std::exception_ptr>& errors) {
+                            std::size_t count) {
   for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
        i < count; i = next_.fetch_add(1, std::memory_order_relaxed)) {
     try {
       work(i);
     } catch (...) {
-      errors[i] = std::current_exception();
+      const std::lock_guard<std::mutex> lock(error_mutex_);
+      if (!error_ || i < error_index_) {
+        error_index_ = i;
+        error_ = std::current_exception();
+      }
     }
   }
 }
@@ -37,7 +42,6 @@ void ThreadPool::worker_loop() {
   for (;;) {
     const std::function<void(std::size_t)>* job = nullptr;
     std::size_t count = 0;
-    std::vector<std::exception_ptr>* errors = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_start_.wait(lock, [&] { return stop_ || generation_ != seen; });
@@ -45,9 +49,8 @@ void ThreadPool::worker_loop() {
       seen = generation_;
       job = job_;
       count = count_;
-      errors = errors_;
     }
-    run_claims(*job, count, *errors);
+    run_claims(*job, count);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (--active_ == 0) cv_done_.notify_all();
@@ -61,26 +64,25 @@ void ThreadPool::parallel_for(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) work(i);
     return;
   }
-  std::vector<std::exception_ptr> errors(count);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     job_ = &work;
     count_ = count;
-    errors_ = &errors;
     next_.store(0, std::memory_order_relaxed);
     active_ = static_cast<unsigned>(workers_.size());
     ++generation_;
   }
   cv_start_.notify_all();
-  run_claims(work, count, errors);  // the calling thread is part of the pool
+  run_claims(work, count);  // the calling thread is part of the pool
   {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_done_.wait(lock, [&] { return active_ == 0; });
     job_ = nullptr;
-    errors_ = nullptr;
   }
-  for (std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
+  // Every worker has left run_claims (active_ == 0 under mutex_), so the
+  // error slot is quiescent.
+  if (std::exception_ptr e = std::exchange(error_, nullptr)) {
+    std::rethrow_exception(e);
   }
 }
 

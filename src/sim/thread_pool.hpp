@@ -2,16 +2,16 @@
 //
 // Extracted from SweepRunner::for_each_index so the same claiming loop can
 // serve both inter-run fan-out (one experiment per index) and intra-run
-// fan-out (one subtree shard / sensor-type batch per index inside
-// DirqNetwork::process_epoch). Workers park on a condition variable
-// between jobs, so a pool owned by a network costs nothing on epochs that
-// run sequentially and no thread is ever created on the epoch hot path.
+// fan-out (one chunk of the epoch's nodes per index inside
+// DirqNetwork::process_epoch's sensing phase). Workers park on a condition
+// variable between jobs, so a pool owned by a network costs nothing
+// between dispatches and no thread is ever created on the epoch hot path.
 //
 // Scheduling is dynamic (a shared atomic claim counter), so completion
 // order is nondeterministic — callers must only do index-addressed writes
-// (slot i belongs to index i) and merge in index order afterwards, which
-// is exactly what keeps the parallel epoch path byte-identical to the
-// sequential one.
+// (slot i belongs to index i) and consume them in index order afterwards,
+// which is exactly what keeps the parallel epoch path byte-identical to
+// the sequential one.
 #pragma once
 
 #include <algorithm>
@@ -44,9 +44,9 @@ class ThreadPool {
 
   /// Runs work(i) for every i in [0, count). The calling thread
   /// participates; returns after all indices completed. Exceptions are
-  /// captured per index and the lowest-indexed one is rethrown after the
-  /// join, so error reporting is deterministic regardless of scheduling.
-  /// Not reentrant: `work` must not call parallel_for on the same pool.
+  /// captured and the lowest-indexed one is rethrown after the join, so
+  /// error reporting is deterministic regardless of scheduling. Not
+  /// reentrant: `work` must not call parallel_for on the same pool.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& work);
 
@@ -59,7 +59,7 @@ class ThreadPool {
  private:
   void worker_loop();
   void run_claims(const std::function<void(std::size_t)>& work,
-                  std::size_t count, std::vector<std::exception_ptr>& errors);
+                  std::size_t count);
 
   std::vector<std::thread> workers_;
 
@@ -73,8 +73,12 @@ class ThreadPool {
   // Current job, valid while active_ > 0 (published under mutex_).
   const std::function<void(std::size_t)>* job_ = nullptr;
   std::size_t count_ = 0;
-  std::vector<std::exception_ptr>* errors_ = nullptr;
   std::atomic<std::size_t> next_{0};
+
+  // The current job's lowest-indexed failure (guarded by error_mutex_).
+  std::mutex error_mutex_;
+  std::size_t error_index_ = 0;
+  std::exception_ptr error_;
 };
 
 }  // namespace dirq::sim

@@ -58,7 +58,8 @@ namespace {
       "                    root at node 0, the default) or an explicit\n"
       "                    comma list of node ids (e.g. 0,12,37)\n"
       "  --routing NAME    query admission policy across sinks:\n"
-      "                    admission (default; depth x load argmin) or\n"
+      "                    admission (default; argmin of each sink's\n"
+      "                    drawn energy + projected query cost) or\n"
       "                    roundrobin\n"
       "  --multi-frac F    fraction of queries drawn as multi-attribute\n"
       "                    conjunctions in [0,1] (default 0)\n"
@@ -66,11 +67,11 @@ namespace {
       "  --sampling F      enable sampling suppression, margin F of theta\n"
       "  --burst SPEC      query arrivals: 'smooth' (default) or L/G —\n"
       "                    L-epoch bursts separated by G silent epochs\n"
-      "  --threads N       intra-run worker count for the epoch loop\n"
-      "                    (default 1 — the golden sequential path; 0 =\n"
-      "                    all hardware threads; every backend honours it,\n"
-      "                    byte-identical to 1 — lmac keeps slot delivery\n"
-      "                    sequential and parallelises the epoch phases)\n"
+      "  --threads N       workers for the epoch's node-local sensing\n"
+      "                    phase (default 1; 0 = all hardware threads);\n"
+      "                    the update cascade, deliveries and lmac's slot\n"
+      "                    loop stay sequential, so output is\n"
+      "                    byte-identical to 1 on every backend\n"
       "  --series          print the update-per-100-epoch TSV series\n"
       "  --help            this text\n"
       "\n"
@@ -1041,13 +1042,10 @@ int main(int argc, char** argv) {
   // (--threads 1) keeps the table byte-stable against every recorded
   // golden. The row reports the *effective* count — plus how the backend
   // parallelises when that needs saying (LMAC: the slot-ordered delivery
-  // loop stays sequential by contract), or the clamp reason should a
-  // future backend ever force the sequential path again.
+  // loop stays sequential by contract).
   if (cfg.threads != 1) {
     std::string cell = std::to_string(core::Experiment::effective_threads(cfg));
-    if (const char* why = core::Experiment::thread_clamp_reason(cfg)) {
-      cell += std::string(" (forced sequential: ") + why + ")";
-    } else if (const char* note = core::Experiment::thread_mode_note(cfg)) {
+    if (const char* note = core::Experiment::thread_mode_note(cfg)) {
       cell += std::string(" (") + note + ")";
     }
     t.add_row({"threads", cell});

@@ -19,7 +19,7 @@
 #     document the surface rather than gate it.
 #   * lmac_overhead_threads.json — the LMAC standing-cost grid at 1 worker
 #     and all cores (bench_lmac_overhead, dirq.sweep.v1): the
-#     chunk-sharded LMAC epoch engine keeps the ledger byte-identical
+#     two-phase epoch engine keeps the ledger byte-identical
 #     across the threads axis, so paired rows differ only in
 #     wall_seconds — the partial-parallelism speedup record.
 #   * msink_500n.json — the multi-sink tier's 500-node cells at 1 and 4
@@ -27,7 +27,7 @@
 #     the 4-sink-vs-1-sink wall ratio and the self-relative
 #     parallel-vs-sequential 4-sink guard perf_smoke.sh checks, plus the
 #     per-sink ledgers and energy spread for admission vs round-robin.
-#     Ledgers are byte-identical across the threads axis (the tree-sharded
+#     Ledgers are byte-identical across the threads axis (the epoch
 #     engine's contract); only run_seconds differs between the rows.
 #   * serve_500n.json — the serve plane's 500-node fast-field grid
 #     (bench_serve_throughput, dirq.serve_bench.v1): rate x sinks x cache
