@@ -119,8 +119,8 @@ ExperimentResults Experiment::run() {
 
   // Backend plumbing. The constructor's bootstrap announce wave ran on the
   // network's built-in instant transport (deployment happens before the
-  // channel model / MAC applies); the LMAC transport carries that ledger
-  // over so cost is continuous across the swap.
+  // channel model / MAC applies); its cost stays in the network's ledgers
+  // across the swap.
   const bool use_lmac = cfg_.transport == TransportKind::Lmac;
   std::optional<LossChannel> loss;
   std::optional<sim::Scheduler> sched;
@@ -144,7 +144,6 @@ ExperimentResults Experiment::run() {
     sched.emplace();
     mac.emplace(*sched, topo, cfg_.lmac);
     lmac_transport.emplace(*mac, network);
-    lmac_transport->mutable_costs() = network.costs();
     network.use_transport(*lmac_transport);
     // Cross-layer path (§4.2): LMAC's timeout-based death detection drives
     // DirQ's tree repair. One repair per dead node; LMAC reports the loss

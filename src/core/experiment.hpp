@@ -64,7 +64,8 @@ struct ExperimentConfig {
   /// decides every operational delivery inside DirqNetwork::deliver
   /// (CRC-failed receptions: tx and rx energy are still spent, the frame
   /// is lost). The constructor's one-off deployment bootstrap (location
-  /// announce wave) always runs lossless; its cost stays in the ledger.
+  /// announce wave) always runs lossless; its cost is booked like any
+  /// other traffic.
   double loss_rate = 0.0;
   NetworkConfig network{};
   std::int64_t epochs_per_hour = kEpochsPerHour;

@@ -6,10 +6,10 @@
 // handler (typically DirqNetwork::handle_node_death via the integration
 // harness). This is the paper's §4.2 cross-layer path.
 //
-// Cost note: this transport reports *data-section* costs in its ledger
-// (the DirQ messages); LMAC's own control traffic is accounted inside
-// LmacNetwork and is the MAC's standing cost, present for flooding and
-// DirQ alike.
+// Cost note: DirqNetwork books the DirQ messages this transport carries in
+// the data section, like on any transport; LMAC's own control traffic is
+// accounted inside LmacNetwork and is the MAC's standing cost, present for
+// flooding and DirQ alike.
 #pragma once
 
 #include <functional>
@@ -30,12 +30,11 @@ class LmacTransport final : public Transport, public mac::LinkObserver {
   void multicast(NodeId from, std::span<const NodeId> targets,
                  const Message& msg) override;
   void broadcast(NodeId from, const Message& msg) override;
-  [[nodiscard]] const CostLedger& costs() const override { return ledger_; }
-  /// Writable ledger access so a driver swapping transports mid-run can
-  /// carry an earlier transport's accumulated costs over.
-  [[nodiscard]] CostLedger& mutable_costs() noexcept override {
-    return ledger_;
-  }
+
+  /// A ledger nothing reads. Kept only because perfbench/src/workloads.cpp
+  /// still assigns the network's costs here when it installs this
+  /// transport; remove together with that line.
+  [[nodiscard]] CostLedger& mutable_costs() noexcept { return unread_; }
 
   // --- cross-layer notifications ---------------------------------------------
   using NeighborHandler = std::function<void(NodeId self, NodeId neighbor)>;
@@ -53,12 +52,9 @@ class LmacTransport final : public Transport, public mac::LinkObserver {
     Message msg;
   };
 
-  void charge_tx(const Message& msg);
-  void charge_rx(const Message& msg);
-
   mac::LmacNetwork& mac_;
   MessageSink& sink_;
-  CostLedger ledger_;
+  CostLedger unread_;
   NeighborHandler on_lost_;
   NeighborHandler on_found_;
 };

@@ -1,11 +1,12 @@
 // Failure injection: a counter-keyed lossy-channel model that drops
 // deliveries with a configurable probability, simulating CRC-failed
-// receptions on a noisy wireless channel.
+// receptions on a noisy wireless channel. DirqNetwork::set_loss installs
+// it; DirqNetwork::deliver asks it for every delivery's verdict.
 //
 // Semantics deliberately match radio reality: the *transmitter* always
 // pays its cost, and the receiver's radio also spends the reception energy
-// (rx is charged before the drop decision) — the frame simply never
-// reaches the protocol. Used by robustness tests to show DirQ keeps
+// (deliver books the rx before asking for the verdict) — the frame simply
+// never reaches the protocol. Used by robustness tests to show DirQ keeps
 // functioning (stale ranges heal on the next threshold crossing; queries
 // lose coverage gracefully, never crash) and by users who want a quick
 // sensitivity estimate before a real-channel study.
@@ -19,13 +20,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
-#include "core/messages.hpp"
-#include "core/transport.hpp"
 #include "sim/counter_rng.hpp"
+#include "sim/types.hpp"
 
 namespace dirq::core {
 
@@ -49,29 +48,14 @@ class LossChannel {
     return u < drop_;
   }
 
-  /// Stateful form: advances the (tree, from, to) sequence counter and
-  /// returns that delivery's verdict. Does NOT touch the offered/dropped
-  /// totals; callers pair it with note().
+  /// Stateful form: advances the (tree, from, to) sequence counter,
+  /// books the delivery into the offered/dropped totals and returns its
+  /// verdict.
   [[nodiscard]] bool next_drop(TreeId tree, NodeId from, NodeId to) {
-    if (static_cast<std::size_t>(tree) >= counters_.size()) {
-      counters_.resize(static_cast<std::size_t>(tree) + 1);
-    }
-    auto& plane = counters_[static_cast<std::size_t>(tree)];
-    if (static_cast<std::size_t>(from) >= plane.size()) {
-      plane.resize(static_cast<std::size_t>(from) + 1);
-    }
-    auto& cell = plane[static_cast<std::size_t>(from)];
-    for (auto& [peer, next_seq] : cell) {
-      if (peer == to) return drops(tree, from, to, next_seq++);
-    }
-    cell.emplace_back(to, 1);
-    return drops(tree, from, to, 0);
-  }
-
-  /// Books one delivery into the totals.
-  void note(bool dropped) noexcept {
+    const bool dropped = drops(tree, from, to, next_seq(tree, from, to));
     ++offered_;
     if (dropped) ++dropped_;
+    return dropped;
   }
 
   [[nodiscard]] std::int64_t offered() const noexcept { return offered_; }
@@ -87,52 +71,23 @@ class LossChannel {
       counters_;
   std::int64_t offered_ = 0;
   std::int64_t dropped_ = 0;
-};
 
-/// MessageSink decorator over a LossChannel — the composition surface for
-/// tests and custom transport stacks. (DirqNetwork consumes a LossChannel
-/// directly via set_loss, so drops are decided inside its deliver().)
-class LossySink final : public MessageSink {
- public:
-  /// Invoked for every dropped frame. The transport has already charged
-  /// the ledger's rx for it; DirqNetwork users hook this to
-  /// note_dropped_rx so the per-node energy distribution stays
-  /// consistent with the ledger.
-  using DropHook = std::function<void(NodeId to, NodeId from, const Message& msg)>;
-
-  /// Drops each delivery independently with `drop_probability`; `rng`
-  /// names the channel's counter stream (conventionally the experiment
-  /// seed's "loss" substream).
-  LossySink(MessageSink& inner, double drop_probability, sim::CounterRng rng)
-      : inner_(inner), channel_(drop_probability, rng) {}
-
-  void set_drop_hook(DropHook hook) { on_drop_ = std::move(hook); }
-
-  void deliver(NodeId to, NodeId from, const Message& msg) override {
-    const bool dropped = channel_.next_drop(message_tree(msg), from, to);
-    channel_.note(dropped);
-    if (dropped) {
-      if (on_drop_) on_drop_(to, from, msg);
-      return;
+  /// Returns the (tree, from, to) key's next sequence number and advances it.
+  std::uint64_t next_seq(TreeId tree, NodeId from, NodeId to) {
+    if (static_cast<std::size_t>(tree) >= counters_.size()) {
+      counters_.resize(static_cast<std::size_t>(tree) + 1);
     }
-    inner_.deliver(to, from, msg);
+    auto& plane = counters_[static_cast<std::size_t>(tree)];
+    if (static_cast<std::size_t>(from) >= plane.size()) {
+      plane.resize(static_cast<std::size_t>(from) + 1);
+    }
+    auto& cell = plane[static_cast<std::size_t>(from)];
+    for (auto& [peer, seq] : cell) {
+      if (peer == to) return seq++;
+    }
+    cell.emplace_back(to, 1);
+    return 0;
   }
-
-  [[nodiscard]] std::int64_t offered() const noexcept {
-    return channel_.offered();
-  }
-  [[nodiscard]] std::int64_t dropped() const noexcept {
-    return channel_.dropped();
-  }
-  [[nodiscard]] double drop_probability() const noexcept {
-    return channel_.drop_probability();
-  }
-  [[nodiscard]] const LossChannel& channel() const noexcept { return channel_; }
-
- private:
-  MessageSink& inner_;
-  LossChannel channel_;
-  DropHook on_drop_;
 };
 
 }  // namespace dirq::core

@@ -15,8 +15,12 @@
 // per-tree protocol slots dispatch on this tag. Single-sink deployments
 // leave it at the default 0, so the wire format (and every golden) is
 // unchanged for the paper's configuration.
+//
+// The paper's §5 cost model lives here too: message_kind classifies a
+// message into the CostLedger category its radio events are booked under.
 #pragma once
 
+#include <cstdint>
 #include <variant>
 
 #include "query/query.hpp"
@@ -65,10 +69,62 @@ struct EhrMessage {
 using Message = std::variant<UpdateMessage, QueryMessage, MultiQueryMessage,
                              EhrMessage, LocationAnnounce>;
 
-/// The spanning tree a message belongs to (the per-sink cost ledgers and
-/// the per-tree slot dispatch both key on this).
+/// The spanning tree a message belongs to: DirqNetwork books each of its
+/// radio events into this tree's ledger, and a node's per-tree slot
+/// dispatch keys on it.
 inline TreeId message_tree(const Message& msg) noexcept {
   return std::visit([](const auto& m) { return m.tree; }, msg);
 }
+
+/// The paper §5 cost category of a message: both query forms are query
+/// traffic, updates are update traffic, and EHr floods and location
+/// announcements are control traffic. The one classifier every booking
+/// goes through.
+enum class MessageKind : std::uint8_t { Query, Update, Control };
+
+inline MessageKind message_kind(const Message& msg) noexcept {
+  if (std::holds_alternative<QueryMessage>(msg) ||
+      std::holds_alternative<MultiQueryMessage>(msg)) {
+    return MessageKind::Query;
+  }
+  if (std::holds_alternative<UpdateMessage>(msg)) return MessageKind::Update;
+  return MessageKind::Control;
+}
+
+/// Per-kind energy ledger (1 unit per transmit, 1 per receive; paper §5).
+struct CostLedger {
+  CostUnits query_tx = 0, query_rx = 0;
+  CostUnits update_tx = 0, update_rx = 0;
+  CostUnits control_tx = 0, control_rx = 0;  // EHr floods, location announces
+
+  [[nodiscard]] CostUnits query_cost() const noexcept { return query_tx + query_rx; }
+  [[nodiscard]] CostUnits update_cost() const noexcept { return update_tx + update_rx; }
+  [[nodiscard]] CostUnits control_cost() const noexcept { return control_tx + control_rx; }
+  [[nodiscard]] CostUnits total() const noexcept {
+    return query_cost() + update_cost() + control_cost();
+  }
+
+  /// The cell one transmission / reception of a `kind` message books into.
+  [[nodiscard]] CostUnits& tx(MessageKind kind) noexcept {
+    return kind == MessageKind::Query    ? query_tx
+           : kind == MessageKind::Update ? update_tx
+                                         : control_tx;
+  }
+  [[nodiscard]] CostUnits& rx(MessageKind kind) noexcept {
+    return kind == MessageKind::Query    ? query_rx
+           : kind == MessageKind::Update ? update_rx
+                                         : control_rx;
+  }
+
+  CostLedger& operator+=(const CostLedger& o) noexcept {
+    query_tx += o.query_tx;
+    query_rx += o.query_rx;
+    update_tx += o.update_tx;
+    update_rx += o.update_rx;
+    control_tx += o.control_tx;
+    control_rx += o.control_rx;
+    return *this;
+  }
+};
 
 }  // namespace dirq::core

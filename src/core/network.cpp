@@ -186,18 +186,23 @@ unsigned DirqNetwork::threads() const noexcept {
 
 void DirqNetwork::set_loss(LossChannel* loss) { loss_ = loss; }
 
-void DirqNetwork::charge_tree_tx(const Message& msg) {
-  const TreeId t = message_tree(msg);
-  if (t < tree_ledgers_.size()) {
-    InstantTransport::charge_tx(tree_ledgers_[t], msg);
-  }
+CostLedger DirqNetwork::costs() const {
+  CostLedger sum;
+  for (const CostLedger& l : tree_ledgers_) sum += l;
+  return sum;
 }
 
-void DirqNetwork::charge_tree_rx(const Message& msg) {
-  const TreeId t = message_tree(msg);
-  if (t < tree_ledgers_.size()) {
-    InstantTransport::charge_rx(tree_ledgers_[t], msg);
-  }
+void DirqNetwork::book_tx(NodeId from, const Message& msg) {
+  ++tree_ledgers_.at(message_tree(msg)).tx(message_kind(msg));
+  ++node_tx_.at(from);
+}
+
+void DirqNetwork::book_rx(NodeId to, const Message& msg) {
+  ++tree_ledgers_.at(message_tree(msg)).rx(message_kind(msg));
+  // The radio exists as soon as the topology slot does, so a reception in
+  // the Topology::add_node -> handle_node_addition window is booked too.
+  if (to >= node_rx_.size()) node_rx_.resize(topo_.size(), 0);
+  ++node_rx_[to];
 }
 
 void DirqNetwork::wire_node(DirqNode& n) {
@@ -207,42 +212,30 @@ void DirqNetwork::wire_node(DirqNode& n) {
       ++updates_transmitted_;
       if (update_hook_) update_hook_(current_epoch_);
     }
-    node_tx_.at(from) += 1;
-    charge_tree_tx(msg);
+    book_tx(from, msg);
     transport_->unicast(from, to, msg);
   });
   n.set_multicast([this](NodeId from, const std::vector<NodeId>& targets,
                          const Message& msg) {
-    node_tx_.at(from) += 1;  // one transmission regardless of target count
-    charge_tree_tx(msg);
+    book_tx(from, msg);  // one transmission regardless of target count
     transport_->multicast(from, targets, msg);
   });
   n.set_broadcast([this](NodeId from, const Message& msg) {
-    node_tx_.at(from) += 1;
-    charge_tree_tx(msg);
+    book_tx(from, msg);
     transport_->broadcast(from, msg);
   });
 }
 
 void DirqNetwork::deliver(NodeId to, NodeId from, const Message& msg) {
-  // The transport has already charged ledger rx for this delivery, so the
-  // per-node attribution must follow even when the protocol instance for
-  // `to` does not exist yet (the Topology::add_node →
-  // handle_node_addition window: the radio exists as soon as the topology
-  // slot does — cost parity is an invariant, not a best effort). An id
-  // beyond the topology itself is a transport contract violation.
+  // An id beyond the topology itself is a transport contract violation.
   if (to >= topo_.size()) {
     throw std::logic_error("DirqNetwork::deliver: recipient outside topology");
   }
-  charge_tree_rx(msg);  // mirror the rx into the message's tree ledger
-  if (to >= node_rx_.size()) node_rx_.resize(topo_.size(), 0);
-  node_rx_[to] += 1;
-  // CRC loss: the radio has paid its rx (ledger, tree mirror, per-node) —
-  // the protocol never sees the frame.
-  if (loss_ != nullptr) {
-    const bool dropped = loss_->next_drop(message_tree(msg), from, to);
-    loss_->note(dropped);
-    if (dropped) return;
+  book_rx(to, msg);
+  // CRC loss: the radio has paid its rx — the protocol never sees the
+  // frame.
+  if (loss_ != nullptr && loss_->next_drop(message_tree(msg), from, to)) {
+    return;
   }
   if (to >= nodes_.size()) return;  // heard, but not yet integrated
   if (audit_active_) {
@@ -614,7 +607,7 @@ void DirqNetwork::begin_audit(QueryId id, TreeId tree, std::int64_t epoch) {
   audit_tree_ = tree;
   audit_received_.clear();
   audit_believed_.clear();
-  audit_cost_start_ = transport_->costs().query_cost();
+  audit_cost_start_ = costs().query_cost();
 }
 
 void DirqNetwork::inject_async(TreeId tree, const query::RangeQuery& q,
@@ -650,7 +643,7 @@ QueryOutcome DirqNetwork::collect_outcome() {
   out.believed_sources.erase(
       std::unique(out.believed_sources.begin(), out.believed_sources.end()),
       out.believed_sources.end());
-  out.cost = transport_->costs().query_cost() - audit_cost_start_;
+  out.cost = costs().query_cost() - audit_cost_start_;
   audit_active_ = false;
   if (query_done_hook_) query_done_hook_(out);
   return out;
@@ -686,7 +679,7 @@ void DirqNetwork::retarget_trees(NodeId changed, std::int64_t epoch) {
       samplers_.emplace_back(cfg_.sampling);
       for (std::vector<NodeId>& pp : prev_parent_) pp.push_back(kNoNode);
     }
-    // resize, not push_back: deliver() may already have grown node_rx_ to
+    // resize, not push_back: book_rx() may already have grown node_rx_ to
     // the topology size inside the add_node → retarget window.
     node_tx_.resize(nodes_.size(), 0);
     node_rx_.resize(nodes_.size(), 0);

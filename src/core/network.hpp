@@ -9,12 +9,16 @@
 // Multi-sink query plane: the network owns a net::TreeSet — N BFS
 // spanning trees over the one shared topology, one per sink. Every node
 // runs one protocol slot per tree (core/dirq_node.hpp); messages carry
-// their TreeId; a per-tree CostLedger mirrors the transport's global
-// ledger so each sink's energy bill is attributable (the mirrors sum to
-// the global ledger on every transport — asserted by core.multi_sink).
-// The single-root constructor builds a one-tree set, and every TreeId-less
-// entry point addresses tree 0, so the paper's single-sink deployment is
-// byte-identical to the pre-refactor code.
+// their TreeId. The single-root constructor builds a one-tree set, and
+// every TreeId-less entry point addresses tree 0, so the paper's
+// single-sink deployment is byte-identical to the pre-refactor code.
+//
+// Energy (paper §5): the network is the only code that books it, on every
+// transport. Each transmission is booked once as a node hands it to the
+// transport, each reception once as the transport delivers it; a booking
+// writes one cell of its message's tree ledger and one per-node counter.
+// The global ledger is the sum of the tree ledgers, so every view
+// reconciles by construction.
 //
 // The per-query audit records the exact set of nodes the query message was
 // delivered to — this is the "nodes that RECEIVE a query" series of
@@ -82,24 +86,25 @@ class DirqNetwork final : public MessageSink {
   // --- wiring ---------------------------------------------------------------
 
   /// Default transport: the built-in InstantTransport. Replaceable (the
-  /// LMAC transport installs itself here); the transport must outlive the
-  /// network's use of it.
+  /// LMAC transport installs itself here) at any time: the ledgers live in
+  /// the network, so swapping transports never resets a cost. The
+  /// transport must outlive the network's use of it.
   void use_transport(Transport& t) { transport_ = &t; }
-  [[nodiscard]] Transport& transport() noexcept { return *transport_; }
-  [[nodiscard]] const CostLedger& costs() const { return transport_->costs(); }
+
+  /// The global ledger since construction: the component-wise sum of the
+  /// tree ledgers.
+  [[nodiscard]] CostLedger costs() const;
 
   /// Installs (or clears, with nullptr) the lossy-channel model: every
   /// delivery — any transport — rolls a counter-keyed drop verdict after
-  /// the radio's rx has been charged, and dropped frames never reach the
-  /// protocol (the exact LossySink semantics, folded into deliver()). The
-  /// channel must outlive the network's use of it.
+  /// its rx has been booked, and dropped frames never reach the protocol.
+  /// The channel must outlive the network's use of it.
   void set_loss(LossChannel* loss);
   [[nodiscard]] const LossChannel* loss() const noexcept { return loss_; }
 
   /// The sink's share of the global ledger: every tx is booked against the
   /// tree its message belongs to at send time, every rx at delivery (or
-  /// CRC-drop) time, so sum(tree_ledger(k)) == costs() holds on every
-  /// transport at all times.
+  /// CRC-drop) time.
   [[nodiscard]] const CostLedger& tree_ledger(TreeId t) const {
     return tree_ledgers_.at(t);
   }
@@ -244,31 +249,14 @@ class DirqNetwork final : public MessageSink {
     return samplers_.at(id);
   }
 
-  /// Per-node radio energy (tx + rx units attributed to each node). The
-  /// network's lifetime is governed by its hottest node, so the
-  /// *distribution* matters as much as the total (bench/energy_hotspots).
+  /// Per-node radio energy (tx + rx units attributed to each node, booked
+  /// with the ledgers, so they sum to costs()). The network's lifetime is
+  /// governed by its hottest node, so the *distribution* matters as much
+  /// as the total (bench/energy_hotspots).
   [[nodiscard]] CostUnits node_tx(NodeId id) const { return node_tx_.at(id); }
   [[nodiscard]] CostUnits node_rx(NodeId id) const { return node_rx_.at(id); }
   [[nodiscard]] CostUnits node_energy(NodeId id) const {
     return node_tx_.at(id) + node_rx_.at(id);
-  }
-
-  /// Accounts the reception energy of a frame the radio received but the
-  /// protocol never saw (CRC failure — a lossy-channel drop). The transport's
-  /// ledger already charged this rx; calling it keeps the per-node
-  /// distribution reconciled with the ledger (see core/lossy.hpp). Like
-  /// deliver(), grows the attribution array when the recipient's topology
-  /// slot exists but its protocol instance does not yet (the add_node →
-  /// retarget window) — the ledger was charged, so the node must be too.
-  /// The message-carrying form also books the rx against the dropped
-  /// frame's tree, keeping the per-sink mirrors reconciled under loss.
-  void note_dropped_rx(NodeId to) {
-    if (to >= node_rx_.size()) node_rx_.resize(topo_.size(), 0);
-    node_rx_.at(to) += 1;
-  }
-  void note_dropped_rx(NodeId to, const Message& msg) {
-    charge_tree_rx(msg);
-    note_dropped_rx(to);
   }
 
   /// Hook invoked once per Update Message transmission with the epoch —
@@ -304,8 +292,10 @@ class DirqNetwork final : public MessageSink {
   /// otherwise.
   [[nodiscard]] const std::vector<NodeId>& epoch_walk_order() const;
   void rebuild_union_walk();
-  void charge_tree_tx(const Message& msg);
-  void charge_tree_rx(const Message& msg);
+  /// The one energy-booking path: a transmission by `from`, a reception by
+  /// `to`. Each writes one tree-ledger cell and one per-node counter.
+  void book_tx(NodeId from, const Message& msg);
+  void book_rx(NodeId to, const Message& msg);
   [[nodiscard]] std::int64_t internal_node_count() const;
 
   // The epoch engine (network.cpp): plan and own-tuple plane, phase A on
@@ -325,8 +315,7 @@ class DirqNetwork final : public MessageSink {
   std::vector<CostUnits> node_tx_, node_rx_;  // per-node radio energy
   /// prev_parent_[tree][node]: snapshot for churn reconciliation.
   std::vector<std::vector<NodeId>> prev_parent_;
-  /// Per-sink mirror of the transport ledger (see tree_ledger()).
-  std::vector<CostLedger> tree_ledgers_;
+  std::vector<CostLedger> tree_ledgers_;  // one per tree (tree_ledger())
   std::vector<NodeId> union_order_;  // multi-tree epoch walk (empty for 1)
 
   std::unique_ptr<InstantTransport> instant_;

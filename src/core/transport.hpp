@@ -2,13 +2,15 @@
 //
 // DirQ's node logic is transport-agnostic: it emits unicasts (to its tree
 // parent or children) and link-layer broadcasts (the hourly EHr estimate),
-// and consumes delivered messages. Two implementations exist:
+// and consumes delivered messages. A transport only decides which
+// neighbours a transmission reaches and when; it books no energy.
+// DirqNetwork books one unit per transmission as it hands a message to the
+// transport and one per reception as the transport delivers it (paper §5).
+// Two implementations exist:
 //
-//   InstantTransport — synchronous delivery on the topology graph with
-//     unit-cost accounting (1 tx + 1 rx per unicast, 1 tx + deg rx per
-//     broadcast, paper §5). This is the fast path used by the 20 000-epoch
-//     figure sweeps; it preserves the paper's cost model exactly while
-//     skipping MAC latency.
+//   InstantTransport — synchronous delivery on the topology graph. This is
+//     the fast path used by the 20 000-epoch figure sweeps; it preserves
+//     the paper's cost model exactly while skipping MAC latency.
 //
 //   LmacTransport (lmac_transport.hpp) — rides the src/mac LMAC instance
 //     over the event scheduler: slot-synchronous delivery, real timeout-
@@ -31,46 +33,26 @@ class MessageSink {
   virtual void deliver(NodeId to, NodeId from, const Message& msg) = 0;
 };
 
-/// Per-kind energy ledger (1 unit per transmit, 1 per receive; paper §5).
-struct CostLedger {
-  CostUnits query_tx = 0, query_rx = 0;
-  CostUnits update_tx = 0, update_rx = 0;
-  CostUnits control_tx = 0, control_rx = 0;  // EHr dissemination
-
-  [[nodiscard]] CostUnits query_cost() const noexcept { return query_tx + query_rx; }
-  [[nodiscard]] CostUnits update_cost() const noexcept { return update_tx + update_rx; }
-  [[nodiscard]] CostUnits control_cost() const noexcept { return control_tx + control_rx; }
-  [[nodiscard]] CostUnits total() const noexcept {
-    return query_cost() + update_cost() + control_cost();
-  }
-};
-
 class Transport {
  public:
   virtual ~Transport() = default;
 
   /// Sends to a one-hop neighbour. Sending to a dead/out-of-range node
-  /// costs the transmission and delivers nothing.
+  /// delivers nothing.
   virtual void unicast(NodeId from, NodeId to, const Message& msg) = 0;
 
   /// One transmission addressed to a subset of neighbours; each addressed
-  /// alive neighbour receives (1 tx + |delivered| rx). This matches the
-  /// paper's Eq. (6) accounting, where a forwarding node pays a single
-  /// transmission no matter how many children it targets.
+  /// alive neighbour receives it. This is the paper's Eq. (6) shape: a
+  /// forwarding node pays a single transmission no matter how many
+  /// children it targets.
   virtual void multicast(NodeId from, std::span<const NodeId> targets,
                          const Message& msg) = 0;
 
   /// Link-layer broadcast to all alive one-hop neighbours.
   virtual void broadcast(NodeId from, const Message& msg) = 0;
-
-  [[nodiscard]] virtual const CostLedger& costs() const = 0;
-
-  /// Writable ledger access, so drivers swapping transports mid-run can
-  /// carry accumulated costs over.
-  [[nodiscard]] virtual CostLedger& mutable_costs() noexcept = 0;
 };
 
-/// Synchronous unit-cost transport over the topology graph.
+/// Synchronous delivery over the topology graph.
 class InstantTransport final : public Transport {
  public:
   InstantTransport(const net::Topology& topo, MessageSink& sink)
@@ -81,23 +63,9 @@ class InstantTransport final : public Transport {
                  const Message& msg) override;
   void broadcast(NodeId from, const Message& msg) override;
 
-  [[nodiscard]] const CostLedger& costs() const override { return ledger_; }
-  [[nodiscard]] CostLedger& mutable_costs() noexcept override {
-    return ledger_;
-  }
-
-  /// Message-kind classification of one charge (query / update / control),
-  /// shared with DirqNetwork's per-sink ledger mirrors so the kind split
-  /// can never drift from the transport's.
-  static void charge_tx(CostLedger& ledger, const Message& msg,
-                        CostUnits n = 1);
-  static void charge_rx(CostLedger& ledger, const Message& msg,
-                        CostUnits n = 1);
-
  private:
   const net::Topology& topo_;
   MessageSink& sink_;
-  CostLedger ledger_;
 };
 
 }  // namespace dirq::core

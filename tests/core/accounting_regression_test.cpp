@@ -1,6 +1,6 @@
 // Regression tests for the epoch-loop accounting edge cases:
-//   - deliver() must attribute rx energy even inside the add_node ->
-//     handle_node_addition window (the ledger already charged it);
+//   - deliver() must book rx energy even inside the add_node ->
+//     handle_node_addition window (the radio already exists);
 //   - the LMAC post-run drain's keep-alive traffic must not inflate
 //     mac_control_total (a 41-epoch run must stay comparable to 40);
 //   - the recorded Umax/Hr series and the flooded EhrMessage value must
@@ -35,7 +35,7 @@ void expect_node_rx_matches_ledger(const DirqNetwork& net,
                                    const net::Topology& topo) {
   CostUnits rx_sum = 0;
   for (NodeId u = 0; u < topo.size(); ++u) rx_sum += net.node_rx(u);
-  const CostLedger& c = net.costs();
+  const CostLedger c = net.costs();
   EXPECT_EQ(rx_sum, c.query_rx + c.update_rx + c.control_rx);
 }
 
@@ -49,13 +49,13 @@ TEST(AccountingRegression, DeliveryInAddNodeWindowIsAttributed) {
 
   // The newcomer's topology slot (and radio) exists as soon as add_node
   // returns; its protocol instance only after handle_node_addition. A
-  // frame arriving in between is charged to the ledger by the transport —
-  // the per-node distribution must not lose it.
+  // frame a transport delivers in between is booked into the ledger — the
+  // per-node distribution must not lose it.
   net::Node newcomer;
   newcomer.x = 4.0;
   newcomer.sensors = {kT};
   const NodeId added = topo.add_node(newcomer);
-  net.transport().unicast(3, added, Message{EhrMessage{}});
+  net.deliver(added, 3, Message{EhrMessage{}});
   EXPECT_EQ(net.node_rx(added), 1);
   expect_node_rx_matches_ledger(net, topo);
 

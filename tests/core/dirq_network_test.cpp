@@ -367,7 +367,7 @@ TEST(DirqNetwork, PerNodeEnergyAccounting) {
       net.node_tx(0) + net.node_tx(1) + net.node_tx(2) + net.node_tx(3);
   const CostUnits total_rx =
       net.node_rx(0) + net.node_rx(1) + net.node_rx(2) + net.node_rx(3);
-  const CostLedger& ledger = net.costs();
+  const CostLedger ledger = net.costs();
   EXPECT_EQ(total_tx, ledger.query_tx + ledger.update_tx + ledger.control_tx);
   EXPECT_EQ(total_rx, ledger.query_rx + ledger.update_rx + ledger.control_rx);
 }

@@ -66,7 +66,8 @@ TEST(GateScan, MatchesScalarReferenceOnRandomizedVectors) {
     }
     const std::int64_t epoch = rng.uniform_int(-6, 42);
     // Full range plus a random interior segment, the shapes the engine
-    // uses (tree shards take [0, n); subtree shards take [seg_lo, seg_hi)).
+    // uses (the mask pass takes [0, n); each phase-A chunk compacts its
+    // own [seg_lo, seg_hi)).
     const std::size_t begin = n == 0 ? 0 : static_cast<std::size_t>(
                                                rng.uniform_int(0, n - 1));
     const std::size_t end =

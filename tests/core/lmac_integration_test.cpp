@@ -106,12 +106,12 @@ TEST(LmacIntegration, MulticastChargesSingleTransmission) {
   w.net.node(2).sample(kT, 20.0, 0);
   w.net.node(1).sample(kT, 10.0, 0);
   w.run_frames(5);
-  const CostUnits qtx_before = w.transport.costs().query_tx;
+  const CostUnits qtx_before = w.net.costs().query_tx;
   w.net.inject_async(query::RangeQuery{1, kT, 0.0, 100.0, 1}, 1);
   w.run_frames(5);
   (void)w.net.collect_outcome();
   // Forwarders 0, 1, 2: one query transmission each.
-  EXPECT_EQ(w.transport.costs().query_tx - qtx_before, 3);
+  EXPECT_EQ(w.net.costs().query_tx - qtx_before, 3);
 }
 
 TEST(LmacIntegration, CrossLayerDeathDetectionRepairsTables) {
@@ -138,10 +138,11 @@ TEST(LmacIntegration, CrossLayerDeathDetectionRepairsTables) {
 TEST(LmacIntegration, EhrFloodOverMac) {
   LmacWorld w(4);
   w.run_frames(2);
+  const CostUnits ctx_before = w.net.costs().control_tx;  // bootstrap wave
   w.net.broadcast_ehr(180.0, 0);
   w.run_frames(6);  // one hop per frame
   // All four nodes rebroadcast once.
-  EXPECT_EQ(w.transport.costs().control_tx, 4);
+  EXPECT_EQ(w.net.costs().control_tx - ctx_before, 4);
 }
 
 }  // namespace

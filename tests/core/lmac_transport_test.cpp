@@ -1,6 +1,7 @@
 // LmacTransport unit behaviour: payload addressing (multicast target
-// filtering), per-kind ledger accounting, and cross-layer callback wiring —
-// isolated from the full DirQ network.
+// filtering), one MAC frame per send, and cross-layer callback wiring —
+// isolated from the full DirQ network (which books the energy; see
+// transport_test.cpp's NetworkBooking suite).
 #include "core/lmac_transport.hpp"
 
 #include <gtest/gtest.h>
@@ -62,15 +63,14 @@ struct Rig {
   }
 };
 
-TEST(LmacTransport, UnicastDeliversAndCharges) {
+TEST(LmacTransport, UnicastDeliversOneFrame) {
   Rig r(3);
   r.transport.unicast(1, 0, Message{UpdateMessage{1, 0, 0, 1.0, 2.0, true}});
   r.run_frames(2);
   ASSERT_EQ(r.sink.delivered.size(), 1u);
   EXPECT_EQ(r.sink.delivered[0].to, 0u);
   EXPECT_EQ(r.sink.delivered[0].from, 1u);
-  EXPECT_EQ(r.transport.costs().update_tx, 1);
-  EXPECT_EQ(r.transport.costs().update_rx, 1);
+  EXPECT_EQ(r.mac.data_tx(1), 1);
 }
 
 TEST(LmacTransport, MulticastOnlyAddressedTargetsDecode) {
@@ -82,10 +82,9 @@ TEST(LmacTransport, MulticastOnlyAddressedTargetsDecode) {
   for (const auto& rec : r.sink.delivered) receivers.push_back(rec.to);
   std::sort(receivers.begin(), receivers.end());
   EXPECT_EQ(receivers, targets);
-  // One transmission, two receptions — non-addressed leaves 2 and 4 slept
-  // through the data section and were never charged.
-  EXPECT_EQ(r.transport.costs().query_tx, 1);
-  EXPECT_EQ(r.transport.costs().query_rx, 2);
+  // One transmission, two deliveries — non-addressed leaves 2 and 4 slept
+  // through the data section and were never handed the frame.
+  EXPECT_EQ(r.mac.data_tx(0), 1);
 }
 
 TEST(LmacTransport, MulticastUnsortedTargetsAllReceiveExactlyOnce) {
@@ -93,8 +92,8 @@ TEST(LmacTransport, MulticastUnsortedTargetsAllReceiveExactlyOnce) {
   // into the Addressed payload while on_message filtered hearers with
   // std::binary_search — undefined behaviour on an unsorted list that in
   // practice silently dropped deliveries for callers passing children in
-  // tree order. Every addressed node must decode exactly once; every
-  // non-addressed hearer must charge no reception.
+  // tree order. Every addressed node must decode exactly once; no
+  // non-addressed hearer may be handed the frame.
   Rig r(6);  // centre 0 with leaves 1-5
   const std::vector<NodeId> targets{4, 1, 3};  // deliberately not sorted
   r.transport.multicast(0, targets, Message{QueryMessage{}});
@@ -103,14 +102,12 @@ TEST(LmacTransport, MulticastUnsortedTargetsAllReceiveExactlyOnce) {
   for (const auto& rec : r.sink.delivered) receivers.push_back(rec.to);
   std::sort(receivers.begin(), receivers.end());
   EXPECT_EQ(receivers, (std::vector<NodeId>{1, 3, 4}));
-  EXPECT_EQ(r.transport.costs().query_tx, 1);
-  EXPECT_EQ(r.transport.costs().query_rx, 3);
+  EXPECT_EQ(r.mac.data_tx(0), 1);
 }
 
-TEST(LmacTransport, LedgerClassifiesEveryMessageKind) {
-  // charge_tx/charge_rx routing: Query and MultiQuery feed the query
-  // counters, Update the update counters, and everything else (EhrMessage,
-  // LocationAnnounce) is control traffic.
+TEST(LmacTransport, DeliversEveryMessageKindIntact) {
+  // All five message types ride the data section and arrive as sent, in
+  // order; their kind classification is message_kind's (messages.hpp).
   Rig r(3);
   r.transport.unicast(1, 0, Message{QueryMessage{}});
   r.transport.unicast(1, 0, Message{MultiQueryMessage{}});
@@ -118,28 +115,28 @@ TEST(LmacTransport, LedgerClassifiesEveryMessageKind) {
   r.transport.unicast(1, 0, Message{EhrMessage{}});
   r.transport.unicast(1, 0, Message{LocationAnnounce{}});
   r.run_frames(2);
-  const CostLedger& l = r.transport.costs();
-  EXPECT_EQ(l.query_tx, 2);
-  EXPECT_EQ(l.query_rx, 2);
-  EXPECT_EQ(l.update_tx, 1);
-  EXPECT_EQ(l.update_rx, 1);
-  EXPECT_EQ(l.control_tx, 2);
-  EXPECT_EQ(l.control_rx, 2);
-  EXPECT_EQ(r.sink.delivered.size(), 5u);
+  ASSERT_EQ(r.sink.delivered.size(), 5u);
+  EXPECT_TRUE(std::holds_alternative<QueryMessage>(r.sink.delivered[0].msg));
+  EXPECT_TRUE(
+      std::holds_alternative<MultiQueryMessage>(r.sink.delivered[1].msg));
+  EXPECT_TRUE(std::holds_alternative<UpdateMessage>(r.sink.delivered[2].msg));
+  EXPECT_TRUE(std::holds_alternative<EhrMessage>(r.sink.delivered[3].msg));
+  EXPECT_TRUE(
+      std::holds_alternative<LocationAnnounce>(r.sink.delivered[4].msg));
 }
 
-TEST(LmacTransport, MulticastLedgerClassification) {
-  // The multicast path routes through the same charge helpers: an Update
-  // multicast to two leaves is 1 update_tx + 2 update_rx, no query units.
+TEST(LmacTransport, MulticastCarriesAnyMessageKind) {
+  // The addressed payload wraps whatever message it is given: an Update
+  // multicast to two leaves is one frame and two Update deliveries.
   Rig r(4);
   const std::vector<NodeId> targets{2, 1};
   r.transport.multicast(0, targets, Message{UpdateMessage{}});
   r.run_frames(2);
-  const CostLedger& l = r.transport.costs();
-  EXPECT_EQ(l.update_tx, 1);
-  EXPECT_EQ(l.update_rx, 2);
-  EXPECT_EQ(l.query_tx, 0);
-  EXPECT_EQ(l.control_tx, 0);
+  ASSERT_EQ(r.sink.delivered.size(), 2u);
+  for (const auto& rec : r.sink.delivered) {
+    EXPECT_TRUE(std::holds_alternative<UpdateMessage>(rec.msg));
+  }
+  EXPECT_EQ(r.mac.data_tx(0), 1);
 }
 
 TEST(LmacTransport, ObserverForwardingStopsWhenHandlersUnset) {
@@ -151,12 +148,12 @@ TEST(LmacTransport, ObserverForwardingStopsWhenHandlersUnset) {
   EXPECT_NO_FATAL_FAILURE(r.run_frames(r.cfg.timeout_frames + 2));
 }
 
-TEST(LmacTransport, EmptyMulticastIsFree) {
+TEST(LmacTransport, EmptyMulticastSendsNoFrame) {
   Rig r(3);
   r.transport.multicast(0, {}, Message{QueryMessage{}});
   r.run_frames(2);
   EXPECT_TRUE(r.sink.delivered.empty());
-  EXPECT_EQ(r.transport.costs().query_tx, 0);
+  EXPECT_EQ(r.mac.data_tx(0), 0);
 }
 
 TEST(LmacTransport, BroadcastReachesAllNeighbours) {
@@ -164,8 +161,7 @@ TEST(LmacTransport, BroadcastReachesAllNeighbours) {
   r.transport.broadcast(0, Message{EhrMessage{}});
   r.run_frames(2);
   EXPECT_EQ(r.sink.delivered.size(), 3u);
-  EXPECT_EQ(r.transport.costs().control_tx, 1);
-  EXPECT_EQ(r.transport.costs().control_rx, 3);
+  EXPECT_EQ(r.mac.data_tx(0), 1);
 }
 
 TEST(LmacTransport, CrossLayerCallbacksForward) {

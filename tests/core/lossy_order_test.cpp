@@ -1,11 +1,9 @@
-// Order independence of the counter-keyed loss channel — the property the
-// parallel epoch engine leans on when it evaluates drop verdicts inside
-// shards. A verdict depends only on the delivery's identity
-// (tree, from, to, per-key sequence number), so any interleaving of
-// deliveries that preserves each key's own subsequence order must produce
-// the identical per-frame verdict set. The sequential engine, the
-// tree-sharded engine, and the chunk-sharded LMAC engine are all such
-// interleavings of one another.
+// Order independence of the counter-keyed loss channel. A verdict depends
+// only on the delivery's identity (tree, from, to, per-key sequence
+// number), so any interleaving of deliveries that preserves each key's own
+// subsequence order must produce the identical per-frame verdict set, so
+// an engine or transport that reorders deliveries across keys cannot
+// change a single verdict.
 #include "core/lossy.hpp"
 
 #include <gtest/gtest.h>
@@ -49,24 +47,21 @@ std::vector<Frame> make_frames() {
   return frames;
 }
 
-/// Feeds `order` (indices into `frames`) through a fresh LossySink and
-/// returns the verdict of every frame, indexed by frame id. A frame's
-/// verdict is observed as the dropped-counter delta across its delivery.
+/// Feeds `order` (indices into `frames`) through a fresh LossChannel's
+/// next_drop and returns the verdict of every frame, indexed by frame id.
 std::vector<bool> verdicts_in_order(const std::vector<Frame>& frames,
                                     const std::vector<std::size_t>& order) {
-  struct Null final : MessageSink {
-    void deliver(NodeId, NodeId, const Message&) override {}
-  } null;
-  LossySink lossy(null, 0.3, sim::CounterRng(1234).substream("loss"));
+  LossChannel channel(0.3, sim::CounterRng(1234).substream("loss"));
   std::vector<bool> verdict(frames.size(), false);
+  std::int64_t dropped = 0;
   for (std::size_t id : order) {
     const Frame& f = frames[id];
-    UpdateMessage upd;
-    upd.tree = f.tree;
-    const std::int64_t before = lossy.dropped();
-    lossy.deliver(f.to, f.from, Message{upd});
-    verdict[id] = lossy.dropped() != before;
+    verdict[id] = channel.next_drop(f.tree, f.from, f.to);
+    dropped += verdict[id];
   }
+  // The totals are booked by the same call.
+  EXPECT_EQ(channel.offered(), static_cast<std::int64_t>(order.size()));
+  EXPECT_EQ(channel.dropped(), dropped);
   return verdict;
 }
 

@@ -1,9 +1,8 @@
-// The acceptance bar for unclamping the last sequential backends: a lossy
-// run and an LMAC run at N threads must produce byte-identical
+// A lossy run and an LMAC run at N threads must produce byte-identical
 // ExperimentResults to the same run at --threads 1, on every transport and
-// at every sink count. The sequential engine is the specification; the
-// shard geometries (subtree, tree, LMAC chunk) are implementations that
-// must be observationally invisible.
+// at every sink count. The one-thread run is the specification; the
+// two-phase epoch engine's parallel sensing phase must be observationally
+// invisible.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -70,8 +69,8 @@ TEST(LossyParallel, LmacMultiSinkByteIdenticalAcrossThreads) {
 }
 
 TEST(LossyParallel, LossyLmacByteIdenticalAcrossThreads) {
-  // Both unclamped backends stacked: counter-mode drops riding the
-  // chunk-sharded LMAC epoch walk.
+  // Both unclamped backends stacked: counter-mode drops riding the LMAC
+  // slot schedule under the parallel sensing phase.
   const ExperimentConfig cfg = base_config(2, 0.15, TransportKind::Lmac);
   const std::string sequential = run_at(cfg, 1);
   for (unsigned threads : {2u, 4u}) {
@@ -80,9 +79,10 @@ TEST(LossyParallel, LossyLmacByteIdenticalAcrossThreads) {
 }
 
 TEST(LossyParallel, LossyMultiSinkLedgerReconcilesAtEverySinkCount) {
-  // Under loss, a CRC-failed reception still charges the ledger and the
-  // receiving node (note_dropped_rx); the per-node attribution must stay
-  // in lockstep with the ledger at every sink count and thread count.
+  // Under loss, a CRC-failed reception is still booked, into the ledger
+  // and against the receiving node, before the drop; the per-node
+  // attribution must stay in lockstep with the ledger at every sink count
+  // and thread count.
   for (std::size_t sinks : {2u, 4u, 8u}) {
     // The channel must actually be engaging (a vacuous reconcile proves
     // nothing): the lossy run's fingerprint differs from the lossless one.

@@ -7,6 +7,7 @@
 
 #include "core/network.hpp"
 #include "metrics/audit.hpp"
+#include "support/ledger_parity.hpp"
 #include "data/field_model.hpp"
 #include "net/placement.hpp"
 #include "query/workload.hpp"
@@ -19,17 +20,15 @@ namespace {
 struct LossyWorld {
   net::Topology topo;
   data::Environment env;
+  LossChannel loss;
   DirqNetwork net;
-  LossySink lossy;
-  InstantTransport transport;
 
   LossyWorld(std::uint64_t seed, double drop)
       : topo(make(seed)),
         env(topo, 4, sim::Rng(seed).substream("env")),
-        net(topo, 0, cfg()),
-        lossy(net, drop, sim::CounterRng(seed).substream("loss")),
-        transport(topo, lossy) {
-    net.use_transport(transport);
+        loss(drop, sim::CounterRng(seed).substream("loss")),
+        net(topo, 0, cfg()) {
+    net.set_loss(&loss);
   }
   static net::Topology make(std::uint64_t seed) {
     sim::Rng rng(seed);
@@ -62,22 +61,20 @@ struct LossyWorld {
   }
 };
 
-TEST(LossySink, DropsAtConfiguredRate) {
-  struct Null final : MessageSink {
-    void deliver(NodeId, NodeId, const Message&) override {}
-  } null;
-  LossySink lossy(null, 0.3, sim::CounterRng(1));
-  const Message msg{UpdateMessage{}};
-  for (int i = 0; i < 10000; ++i) lossy.deliver(0, 1, msg);
-  EXPECT_EQ(lossy.offered(), 10000);
-  EXPECT_NEAR(static_cast<double>(lossy.dropped()) / 10000.0, 0.3, 0.02);
+TEST(LossChannel, DropsAtConfiguredRate) {
+  LossChannel channel(0.3, sim::CounterRng(1));
+  int dropped = 0;
+  for (int i = 0; i < 10000; ++i) dropped += channel.next_drop(0, 1, 0);
+  EXPECT_EQ(channel.offered(), 10000);
+  EXPECT_EQ(channel.dropped(), dropped);
+  EXPECT_NEAR(static_cast<double>(channel.dropped()) / 10000.0, 0.3, 0.02);
 }
 
-TEST(LossySink, ZeroLossIsTransparent) {
+TEST(LossChannel, ZeroLossIsTransparent) {
   LossyWorld w(3, 0.0);
   w.run(0, 50);
-  EXPECT_EQ(w.lossy.dropped(), 0);
-  EXPECT_GT(w.lossy.offered(), 0);
+  EXPECT_EQ(w.loss.dropped(), 0);
+  EXPECT_GT(w.loss.offered(), 0);
   EXPECT_GT(w.mean_coverage(50, 20, 99), 99.0);
 }
 
@@ -108,17 +105,15 @@ TEST(LossyProtocol, StaleRangesHealAfterChannelRecovers) {
   // the loss-free level because re-centred tuples re-trigger updates.
   net::Topology topo = LossyWorld::make(11);
   data::Environment env(topo, 4, sim::Rng(11).substream("env"));
+  LossChannel loss(0.5, sim::CounterRng(11).substream("loss"));
   DirqNetwork net(topo, 0, LossyWorld::cfg());
-  LossySink lossy(net, 0.5, sim::CounterRng(11).substream("loss"));
-  InstantTransport lossy_transport(topo, lossy);
-  InstantTransport clean_transport(topo, net);
 
-  net.use_transport(lossy_transport);
+  net.set_loss(&loss);
   for (std::int64_t e = 0; e < 200; ++e) {
     env.advance_to(e);
     net.process_epoch(env, e);
   }
-  net.use_transport(clean_transport);
+  net.set_loss(nullptr);
   // The environment keeps drifting; within a few hundred epochs every
   // subtree whose aggregate moved re-announces over the clean channel.
   for (std::int64_t e = 200; e < 1200; ++e) {
@@ -139,33 +134,31 @@ TEST(LossyProtocol, StaleRangesHealAfterChannelRecovers) {
   EXPECT_GT(cov.mean(), 90.0);
 }
 
-TEST(LossySink, DropHookReconcilesPerNodeRxWithLedger) {
-  // The transport charges the ledger's rx before the drop decision
-  // (CRC-failure semantics); the drop hook must keep the per-node
-  // distribution in step so sum(node_rx) always equals the ledger's rx.
+TEST(LossyProtocol, TransportSwapKeepsEveryBookedUnit) {
+  // The network books every radio event itself, so installing a second
+  // transport mid-run (with no hand-over of any ledger) neither loses the
+  // bootstrap wave nor lets the views drift apart under loss — including
+  // the receptions of CRC-dropped frames.
   LossyWorld w(5, 0.3);
-  w.lossy.set_drop_hook([&w](NodeId to, NodeId, const Message&) {
-    w.net.note_dropped_rx(to);
-  });
-  const auto rx_sum = [&w] {
-    CostUnits s = 0;
-    for (NodeId u = 0; u < w.net.size(); ++u) s += w.net.node_rx(u);
-    return s;
-  };
-  // Delta from here on: the constructor's bootstrap wave ran on the
-  // internal transport whose ledger w.net.costs() no longer reports.
-  const CostUnits before = rx_sum();
+  const CostLedger boot = w.net.costs();
+  ASSERT_GT(boot.control_tx, 0);
+  InstantTransport second(w.topo, w.net);
+  w.net.use_transport(second);
   w.run(0, 200);
-  ASSERT_GT(w.lossy.dropped(), 0);
-  const CostLedger& l = w.net.costs();
-  EXPECT_EQ(rx_sum() - before, l.query_rx + l.update_rx + l.control_rx);
+  ASSERT_GT(w.loss.dropped(), 0);
+  const CostLedger after = w.net.costs();
+  // Epochs send no control traffic: the control units are the bootstrap's.
+  EXPECT_EQ(after.control_tx, boot.control_tx);
+  EXPECT_EQ(after.control_rx, boot.control_rx);
+  EXPECT_GT(after.update_cost(), 0);
+  expect_network_ledger_reconciles(w.net);
 }
 
 TEST(LossyProtocol, DeterministicGivenSeed) {
   LossyWorld a(9, 0.3), b(9, 0.3);
   a.run(0, 100);
   b.run(0, 100);
-  EXPECT_EQ(a.lossy.dropped(), b.lossy.dropped());
+  EXPECT_EQ(a.loss.dropped(), b.loss.dropped());
   EXPECT_EQ(a.net.updates_transmitted(), b.net.updates_transmitted());
 }
 

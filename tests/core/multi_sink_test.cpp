@@ -136,9 +136,10 @@ TEST(MultiSink, AdmissionBalancesEnergyAtLeastAsWellAsRoundRobin) {
 }
 
 TEST(MultiSink, EffectiveThreadsHonoursMultiSinkRequests) {
-  // Every backend honours the requested thread count now: the lossy
-  // channel evaluates counter-mode drops in-shard and LMAC parallelises
-  // its epoch phases, so no configuration clamps back to sequential.
+  // Every backend honours the requested thread count now: only the
+  // engine's sensing phase is parallel, while loss verdicts (in the
+  // sequential commit phase) and LMAC's slot loop stay sequential, so no
+  // configuration clamps back to sequential.
   ExperimentConfig cfg = small_config(4);
   cfg.threads = 4;
   EXPECT_EQ(Experiment::effective_threads(cfg), 4u);

@@ -1,8 +1,8 @@
 // Intra-run parallelism determinism tier: an N-thread run must produce a
-// byte-identical ExperimentResults summary to the 1-thread sequential
-// path (goldens are only ever recorded against --threads 1, so this is
-// the contract that makes the parallel engine safe to enable at all),
-// and order-sensitive backends must fall back to 1 thread.
+// byte-identical ExperimentResults summary to the 1-thread run (goldens
+// are only ever recorded against --threads 1, so this is the contract
+// that makes the parallel engine safe to enable at all), and every
+// backend honours the requested thread count.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -55,8 +55,8 @@ TEST(ParallelEpoch, AtcThetaSummariesByteIdentical) {
 
 TEST(ParallelEpoch, SamplingSuppressionSummariesByteIdentical) {
   // The gated walk is the trickiest parallel surface: the engine mirrors
-  // each node's next_due gate into per-shard slots and must keep them in
-  // lock-step with the sequential controllers.
+  // each node's next_due gate into its plan and must keep the mirror in
+  // lock-step with the sampling controllers.
   ExperimentConfig cfg = small_cfg();
   cfg.network.sampling.enabled = true;
   EXPECT_EQ(run_summary(cfg, 1), run_summary(cfg, 4));
@@ -64,7 +64,8 @@ TEST(ParallelEpoch, SamplingSuppressionSummariesByteIdentical) {
 
 TEST(ParallelEpoch, EffectiveThreadsHonoursEveryBackend) {
   // Historically LMAC and lossy runs clamped to one thread; counter-mode
-  // drop decisions and chunk-sharded LMAC epochs removed both clamps.
+  // drop decisions and the two-phase engine's sequential commit phase
+  // removed both clamps.
   ExperimentConfig cfg;
   cfg.threads = 4;
   EXPECT_EQ(Experiment::effective_threads(cfg), 4u);
@@ -79,7 +80,7 @@ TEST(ParallelEpoch, EffectiveThreadsHonoursEveryBackend) {
 }
 
 /// Cross shape: root 0 at the origin, three 3-node arms (+x, -x, +y).
-/// Three root children -> three shards; every non-root node senses kT.
+/// Three root children, three arms; every non-root node senses kT.
 net::Topology cross_topology() {
   std::vector<net::Node> nodes(10);
   const double xs[] = {0, 1, 2, 3, -1, -2, -3, 0, 0, 0};
@@ -138,7 +139,7 @@ TEST(ParallelEpoch, ChurnInvalidatesPlanAndMatchesSequentialTwin) {
   std::int64_t epoch = 0;
   for (; epoch < 10; ++epoch) step(epoch);
 
-  // Mid-arm death: node 3 detaches, the tree shrinks, the cached shard
+  // Mid-arm death: node 3 detaches, the tree shrinks, the cached epoch
   // plan must be rebuilt (a stale plan would walk a dead node and throw).
   churn([&](net::Topology& t, DirqNetwork& n) {
     t.kill_node(2);

@@ -1,10 +1,9 @@
-// Tree-sharded parallel epochs for multi-sink runs: an N-thread multi-sink
-// run must produce a byte-identical ExperimentResults summary to the
-// 1-thread sequential path (the same contract parallel_epoch_test.cpp pins
-// for one sink), across sink counts, routing policies, both field
-// backends, ATC and the sampling gate — and the per-sink ledger mirrors
-// must still reconcile component-wise against the global ledger when the
-// charges were accumulated per shard.
+// Parallel epochs for multi-sink runs: an N-thread multi-sink run must
+// produce a byte-identical ExperimentResults summary to the 1-thread run
+// (the same contract parallel_epoch_test.cpp pins for one sink), across
+// sink counts, routing policies, both field backends, ATC and the
+// sampling gate — and the per-sink ledgers must still reconcile
+// component-wise against the global ledger.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -65,9 +64,10 @@ TEST(ParallelMultiSink, AtcThetaSummariesByteIdentical) {
 }
 
 TEST(ParallelMultiSink, SamplingSuppressionSummariesByteIdentical) {
-  // The gated tree-sharded walk: shard 0 owns the shared per-node gate
-  // while the other shards branch on the precomputed due mask — any
-  // divergence between the two views shows up here as a summary diff.
+  // The gated multi-tree walk: one physical sample per node feeds every
+  // tree slot, so the shared per-node gate must open and close once per
+  // node whatever the sink count — any divergence between the trees'
+  // views shows up here as a summary diff.
   ExperimentConfig cfg = msink_cfg(4, RoutingPolicy::Admission);
   cfg.network.sampling.enabled = true;
   EXPECT_EQ(run_summary(cfg, 1), run_summary(cfg, 4));
@@ -96,7 +96,7 @@ TEST(ParallelMultiSink, SinkLedgersReconcileUnderParallelRuns) {
 
 /// Cross shape: three 3-node arms (+x, -x, +y) around node 0. Roots 0 and
 /// 3 (the +x arm's tip) give two overlapping spanning trees over the same
-/// population — the tree-shard geometry, minimally.
+/// population — the multi-tree union walk, minimally.
 net::Topology cross_topology() {
   std::vector<net::Node> nodes(10);
   const double xs[] = {0, 1, 2, 3, -1, -2, -3, 0, 0, 0};
@@ -160,8 +160,8 @@ TEST(ParallelMultiSink, ChurnInvalidatesPlanAndMatchesSequentialTwin) {
   for (; epoch < 10; ++epoch) step(epoch);
 
   // Mid-arm death away from either root: both trees lose the -x arm's
-  // tail, and the cached tree-shard plan must be rebuilt (a stale plan
-  // would walk a dead node and throw).
+  // tail, and the cached epoch plan must be rebuilt (a stale plan would
+  // walk a dead node and throw).
   churn([&](net::Topology& t, DirqNetwork& n) {
     t.kill_node(5);
     n.handle_node_death(5, 10);

@@ -33,6 +33,7 @@
 #include "sim/counter_rng.hpp"
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
+#include "support/ledger_parity.hpp"
 
 namespace dirq::core {
 namespace {
@@ -82,12 +83,6 @@ class RecordingTransport final : public Transport {
   }
   void broadcast(NodeId from, const Message& msg) override {
     inner_.broadcast(from, msg);
-  }
-  [[nodiscard]] const CostLedger& costs() const override {
-    return inner_.costs();
-  }
-  [[nodiscard]] CostLedger& mutable_costs() noexcept override {
-    return inner_.mutable_costs();
   }
 
   std::vector<UpdateMessage> log;
@@ -273,7 +268,7 @@ AuditedRun audited_run(unsigned threads) {
       d << '\n';
     }
   }
-  const CostLedger& c = net.costs();
+  const CostLedger c = net.costs();
   d << c.query_tx << ' ' << c.query_rx << ' ' << c.update_tx << ' '
     << c.update_rx << ' ' << c.control_tx << ' ' << c.control_rx << ' '
     << net.updates_transmitted() << ' ' << net.samples_taken() << '\n';
@@ -405,7 +400,6 @@ Digest run_case(const Case& c, unsigned threads, bool reference = false) {
     sched.emplace();
     mac.emplace(*sched, topo, lcfg);
     lmac.emplace(*mac, net);
-    lmac->mutable_costs() = net.costs();
     net.use_transport(*lmac);
     lmac->set_on_neighbor_lost([&](NodeId, NodeId dead) {
       if (repaired.insert(dead).second) net.handle_node_death(dead, epoch);
@@ -479,8 +473,11 @@ Digest run_case(const Case& c, unsigned threads, bool reference = false) {
     if (c.lmac) sched->run_until((epoch + 1) * lcfg.frame_ticks() - 1);
   }
   if (pending) record(net.collect_outcome());
+  // Every radio event is booked once into one tree ledger and one node,
+  // so the views reconcile on every transport, loss rate and churn.
+  expect_network_ledger_reconciles(net);
 
-  const CostLedger& cost = net.costs();
+  const CostLedger cost = net.costs();
   d << cost.query_tx << ' ' << cost.query_rx << ' ' << cost.update_tx << ' '
     << cost.update_rx << ' ' << cost.control_tx << ' ' << cost.control_rx
     << '\n';

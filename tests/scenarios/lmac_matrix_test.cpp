@@ -2,7 +2,7 @@
 // scenario_matrix_test.cpp, but with queries and updates riding the TDMA
 // slot schedule (TransportKind::Lmac). Golden-checked on the core metrics,
 // plus the cost-parity invariant the LMAC backend must share with the
-// instant one: the transport ledger reconciles exactly with the per-node
+// instant one: the network's ledger reconciles exactly with the per-node
 // tx/rx energy attribution.
 //
 // The grid axes and per-cell config live in scenario_grid.hpp, shared with

@@ -27,11 +27,12 @@
 #     cross-tree scan shows up immediately.
 #   * multi-sink parallel 500n/2000e: the 4-sink admission cell at
 #     --threads 0 vs --threads 1 from the SAME bench_multi_sink run —
-#     self-relative again. The tree-sharded epoch engine must make the
-#     all-cores row STRICTLY faster than the sequential row on any
-#     multi-core runner (skipped on 1-core hosts, where --threads 0
-#     resolves to 1 and the comparison is vacuous); a serialised pool or
-#     a merge path that re-does the shards' work shows up immediately.
+#     self-relative again. The two-phase epoch engine's parallel sensing
+#     phase must make the all-cores row STRICTLY faster than the
+#     sequential row on any multi-core runner (skipped on 1-core hosts,
+#     where --threads 0 resolves to 1 and the comparison is vacuous); a
+#     serialised pool or a commit phase that re-does phase A's work shows
+#     up immediately.
 #   * serve 500n/2000e: cache-on vs cache-off qps from the SAME
 #     bench_serve_throughput run — self-relative and on the virtual
 #     clock, so machine speed divides out entirely. Cache-on must answer
