@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 
-#include "analysis/cost_model.hpp"
-#include "core/lmac_transport.hpp"
-#include "core/lossy.hpp"
-#include "data/fast_field.hpp"
-#include "data/field_model.hpp"
-#include "query/rate_predictor.hpp"
+#include "core/session.hpp"
 #include "query/workload.hpp"
-#include "sim/counter_rng.hpp"
 #include "sim/rng.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace dirq::core {
@@ -45,6 +37,14 @@ void ExperimentConfig::validate() const {
   }
   if (!(loss_rate >= 0.0 && loss_rate < 1.0)) {
     fail("loss_rate must be in [0, 1)");
+  }
+  if (network.mode == NetworkConfig::ThetaMode::Fixed &&
+      !(network.fixed_pct > 0.0 && network.fixed_pct <= 100.0)) {
+    fail("network.fixed_pct must be in (0, 100]");
+  }
+  if (network.sampling.enabled && !(network.sampling.margin_frac >= 0.0 &&
+                                    network.sampling.margin_frac <= 1.0)) {
+    fail("network.sampling.margin_frac must be in [0, 1]");
   }
   if (sinks.empty() && sink_count < 1) fail("sink_count must be >= 1");
   if (resolved_sink_count() > static_cast<std::size_t>(placement.node_count)) {
@@ -92,77 +92,14 @@ void ExperimentConfig::validate() const {
 }
 
 ExperimentResults Experiment::run() {
-  cfg_.validate();
-  sim::Rng rng(cfg_.seed);
-  net::Topology topo = net::random_connected(cfg_.placement, rng);
-  // Environment backend seam: Pinned constructs data::Environment with
-  // exactly the arguments this driver always used (same substream, same
-  // sequential streams — goldens untouched); Fast swaps in the
-  // counter-based twin behind the same ReadingSource interface.
-  const std::unique_ptr<data::ReadingSource> env_owner = data::make_environment(
-      cfg_.field_backend, topo, cfg_.placement.sensor_type_count,
-      rng.substream("environment"));
-  data::ReadingSource& env = *env_owner;
-  // Sink roots: the explicit list, or spread_roots for a bare count. Both
-  // paths keep node 0 — the paper's root — as tree 0 when sink_count is 1,
-  // so the default deployment is byte-identical to the single-root ctor.
-  std::vector<NodeId> roots;
-  if (!cfg_.sinks.empty()) {
-    roots = cfg_.sinks;
-  } else if (cfg_.sink_count <= 1) {
-    roots = {0};
-  } else {
-    roots = net::spread_roots(topo, cfg_.sink_count);
-  }
-  DirqNetwork network(topo, roots, cfg_.network);
+  // The operator's prior for hour 0: the advertised query interface rate.
+  Session session(cfg_, static_cast<double>(cfg_.epochs_per_hour) /
+                            static_cast<double>(cfg_.query_period));
+  const net::Topology& topo = session.topology();
+  const data::ReadingSource& env = session.environment();
+  DirqNetwork& network = session.network();
   const std::size_t n_sinks = network.tree_count();
-
-  // Backend plumbing. The constructor's bootstrap announce wave ran on the
-  // network's built-in instant transport (deployment happens before the
-  // channel model / MAC applies); its cost stays in the network's ledgers
-  // across the swap.
   const bool use_lmac = cfg_.transport == TransportKind::Lmac;
-  std::optional<LossChannel> loss;
-  std::optional<sim::Scheduler> sched;
-  std::optional<mac::LmacNetwork> mac;
-  std::optional<LmacTransport> lmac_transport;
-  std::int64_t current_epoch = 0;
-  std::set<NodeId> mac_repaired;  // nodes already handled by tree repair
-
-  if (cfg_.loss_rate > 0.0) {
-    // The CRC-loss model lives inside DirqNetwork::deliver (not a sink
-    // wrapper): every drop verdict is a pure function of (seed, tree,
-    // from, to, per-pair delivery counter) on the seed's dedicated "loss"
-    // substream, so any transport — instant or LMAC — sees the same
-    // channel.
-    // Installed after construction: the bootstrap announce wave models
-    // deployment, before the channel applies.
-    loss.emplace(cfg_.loss_rate, sim::CounterRng(cfg_.seed).substream("loss"));
-    network.set_loss(&*loss);
-  }
-  if (use_lmac) {
-    sched.emplace();
-    mac.emplace(*sched, topo, cfg_.lmac);
-    lmac_transport.emplace(*mac, network);
-    network.use_transport(*lmac_transport);
-    // Cross-layer path (§4.2): LMAC's timeout-based death detection drives
-    // DirQ's tree repair. One repair per dead node; LMAC reports the loss
-    // once per surviving neighbour.
-    lmac_transport->set_on_neighbor_lost(
-        [&network, &mac_repaired, &current_epoch](NodeId, NodeId dead) {
-          if (mac_repaired.insert(dead).second) {
-            network.handle_node_death(dead, current_epoch);
-          }
-        });
-    mac->start();
-  }
-
-  // Intra-run parallelism: a pool only exists when the resolved count is
-  // > 1, and it only runs the epoch's node-local sensing phase; the
-  // update cascade (and LMAC's slot loop) stays sequential on every
-  // backend.
-  const unsigned threads = effective_threads(cfg_);
-  if (threads > 1) network.set_threads(threads);
 
   // The generator stays bound to tree 0 whatever the sink count, so the
   // query *stream* is identical across 1-vs-N runs — only the admission
@@ -171,29 +108,22 @@ ExperimentResults Experiment::run() {
   query::WorkloadGenerator workload(
       topo, network.tree(), env,
       query::WorkloadConfig{cfg_.relevant_fraction, 0.02},
-      rng.substream("workload"));
-  // One rate predictor per sink: each sink floods the EHr it observed.
-  std::vector<query::QueryRatePredictor> predictors;
-  predictors.reserve(n_sinks);
-  for (std::size_t t = 0; t < n_sinks; ++t) {
-    predictors.emplace_back(0.4, cfg_.epochs_per_hour);
-  }
+      session.substream("workload"));
   QueryAdmission admission(cfg_.routing, network.trees());
   // The multi-attribute mix draws from its own named substream, and only
   // when the mix is enabled — a 0-fraction run consumes no RNG here and
   // every pre-existing golden stays byte-identical.
   std::optional<sim::Rng> multi_rng;
   if (cfg_.multi_attr_fraction > 0.0) {
-    multi_rng.emplace(rng.substream("multi-attr"));
+    multi_rng.emplace(session.substream("multi-attr"));
   }
   FloodingScheme flooding(topo);
 
   ExperimentResults res;
-  res.sink_roots = roots;
+  res.sink_roots = session.roots();
   res.sink_ledgers.resize(n_sinks);
   res.sink_queries.assign(n_sinks, 0);
   res.sink_query_latency.resize(n_sinks);
-  res.sink_umax_per_hour.resize(n_sinks);
   res.updates_per_bin = sim::TimeSeries(cfg_.series_bin);
   network.set_update_hook(
       [&res](std::int64_t epoch) { res.updates_per_bin.record(epoch); });
@@ -261,39 +191,7 @@ ExperimentResults Experiment::run() {
     }
   };
 
-  // The operator's prior for hour 0: the advertised query interface rate.
-  const double prior_ehr = static_cast<double>(cfg_.epochs_per_hour) /
-                           static_cast<double>(cfg_.query_period);
-  const SimTime frame_ticks = cfg_.lmac.frame_ticks();
-
-  for (std::int64_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
-    current_epoch = epoch;
-    env.advance_to(epoch);
-
-    if (epoch % cfg_.epochs_per_hour == 0) {
-      for (TreeId t = 0; t < static_cast<TreeId>(n_sinks); ++t) {
-        // Each sink floods the EHr *it* observed; hour 0 splits the
-        // advertised prior evenly (== prior_ehr when n_sinks is 1, so the
-        // single-sink series is bit-identical to the pre-multi-sink code).
-        const double ehr =
-            predictors[t].completed_hours() > 0
-                ? predictors[t].predict_next_hour()
-                : prior_ehr / static_cast<double>(n_sinks);
-        // Record the exact Umax/Hr each root flooded (Fig. 6 lines): the
-        // broadcast's return value is the single source of truth
-        // (analysis::umax_messages_per_hour), never a re-derivation.
-        const double umax = network.broadcast_ehr(t, ehr, epoch);
-        res.sink_umax_per_hour[t].push_back(umax);
-        if (t == 0) {
-          // The global series stays the tree-0 view — the paper's root.
-          res.umax_per_hour.push_back(umax);
-          res.ehr_per_hour.push_back(ehr);
-        }
-      }
-    }
-
-    network.process_epoch(env, epoch);
-
+  session.run(cfg_.epochs, [&](std::int64_t epoch) {
     if (epoch % cfg_.query_period == 0 && epoch > 0) {
       // A pending (LMAC) query is audited at every period boundary — also
       // inside a burst gap — so each one gets the same query_period-frame
@@ -315,7 +213,7 @@ ExperimentResults Experiment::run() {
         }
         const TreeId routed = admission.route();
         const net::SpanningTree& sink_tree = network.tree(routed);
-        predictors[routed].record_query(epoch);
+        session.record_query(routed, epoch);
         PendingQuery p;
         p.epoch = epoch;
         p.tree = routed;
@@ -353,44 +251,30 @@ ExperimentResults Experiment::run() {
       res.theta_pct_series.push_back(
           network.mean_theta_pct(kSensorTemperature));
     }
+  });
 
-    if (use_lmac) {
-      // One sensing epoch = one LMAC frame: deliver every slot of frame
-      // `epoch` but stop short of frame epoch+1's first slot (scheduled at
-      // exactly (epoch+1) * frame_ticks).
-      sched->run_until((epoch + 1) * frame_ticks - 1);
-    }
-  }
-
-  // The MAC's standing cost: control-section tx+rx over all nodes —
-  // traffic LMAC spends keeping the schedule alive whether or not DirQ
-  // sends anything (bench_lmac_overhead's comparison row). Snapshotted
-  // *before* the drain below: the drain advances extra frames whenever
-  // epochs is not a multiple of query_period, and folding their
-  // keep-alive traffic into the per-epoch total would make a 20001-epoch
-  // run incomparable to a 20000-epoch one. Drain-frame cost is attributed
-  // separately.
-  const auto mac_control_sum = [&] {
-    CostUnits sum = 0;
-    for (NodeId u = 0; u < topo.size(); ++u) {
-      sum += mac->control_tx(u) + mac->control_rx(u);
-    }
-    return sum;
-  };
-
-  if (use_lmac) res.mac_control_total = mac_control_sum();
-
+  // The MAC's standing cost: control-section traffic LMAC spends keeping
+  // the schedule alive whether or not DirQ sends anything
+  // (bench_lmac_overhead's comparison row). Snapshotted *before* the drain
+  // below: the drain advances extra frames whenever epochs is not a
+  // multiple of query_period, and folding their keep-alive traffic into the
+  // per-epoch total would make a 20001-epoch run incomparable to a
+  // 20000-epoch one. Drain-frame cost is attributed separately.
+  res.mac_control_total = session.mac_control_units();
   if (pending) {
     // Drain: audit the final query after exactly the same query_period-frame
     // dissemination window every mid-run query gets (the loop has already
     // advanced past this time when epochs is a multiple of query_period, in
     // which case this is a no-op).
-    sched->run_until((pending->epoch + cfg_.query_period) * frame_ticks - 1);
+    session.drain_mac_until(pending->epoch + cfg_.query_period);
     finalize_query(*pending, network.collect_outcome(),
                    pending->epoch + cfg_.query_period);
     pending.reset();
   }
-  if (use_lmac) res.mac_control_drain = mac_control_sum() - res.mac_control_total;
+  res.mac_control_drain = session.mac_control_units() - res.mac_control_total;
+  res.umax_per_hour = session.sink_umax_per_hour().front();
+  res.ehr_per_hour = session.ehr_per_hour();
+  res.sink_umax_per_hour = session.sink_umax_per_hour();
 
   res.ledger = network.costs();
   for (TreeId t = 0; t < static_cast<TreeId>(n_sinks); ++t) {

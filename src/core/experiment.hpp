@@ -9,7 +9,9 @@
 //    epochs."
 //
 // One Experiment = one (theta-mode, relevant-fraction, seed) cell of the
-// evaluation grid; the bench binaries run grids of them.
+// evaluation grid; the bench binaries run grids of them. It runs the
+// paper's query workload and audits on a core::Session (core/session.hpp),
+// which owns the world, the backends, the EHr cadence and the epoch clock.
 #pragma once
 
 #include <cstdint>
@@ -108,14 +110,14 @@ struct ExperimentConfig {
     return sinks.empty() ? sink_count : sinks.size();
   }
 
-  /// Validates every field the driver divides or modulos by (and the
-  /// probability/fraction knobs), including the sink plane: duplicate
-  /// sink ids, ids outside the placement, and a zero sink count all throw
-  /// with a message naming the problem. (Initial placements are fully
-  /// alive, so "dead root" cannot arise here; net::TreeSet re-checks
-  /// aliveness at construction for callers that mutate first.) Called by
-  /// Experiment::run; throws std::invalid_argument naming the offending
-  /// field.
+  /// Validates every field the driver divides or modulos by, the
+  /// probability/fraction knobs, a fixed theta in (0, 100] and an enabled
+  /// sampling margin in [0, 1] (NaN fails every range), and the sink
+  /// plane: duplicate sink ids, ids outside the placement, and a zero sink
+  /// count. (Initial placements are fully alive, so "dead root" cannot
+  /// arise here; net::TreeSet re-checks aliveness at construction for
+  /// callers that mutate first.) Called by the core::Session constructor;
+  /// throws std::invalid_argument naming the offending field.
   void validate() const;
 };
 
@@ -246,7 +248,7 @@ class Experiment {
  public:
   explicit Experiment(ExperimentConfig cfg) : cfg_(cfg) {}
 
-  /// Builds the world from the seed and runs the full epoch loop.
+  /// Builds a core::Session and runs the paper's workload on it.
   ExperimentResults run();
 
   /// The worker count a config actually runs with: cfg.threads resolved

@@ -30,6 +30,7 @@
 #include "core/network.hpp"
 #include "core/range_table.hpp"
 #include "core/sampling.hpp"
+#include "core/session.hpp"
 #include "core/srt.hpp"
 #include "core/transport.hpp"
 #include "data/fast_field.hpp"

@@ -7,11 +7,8 @@
 #include <thread>
 #include <vector>
 
-#include "data/fast_field.hpp"
-#include "net/tree_set.hpp"
-#include "query/rate_predictor.hpp"
+#include "core/session.hpp"
 #include "query/workload.hpp"
-#include "sim/rng.hpp"
 #include "sweep/plan.hpp"
 
 namespace dirq::serve {
@@ -47,36 +44,19 @@ void ServeConfig::validate() const {
 ServeResults Server::run() {
   cfg_.validate();
 
-  // World build: the same seed->substream derivations as Experiment::run,
-  // so a serve run and a batch run over one seed agree on placement,
-  // environment and workload pool.
-  sim::Rng rng(cfg_.exp.seed);
-  net::Topology topo = net::random_connected(cfg_.exp.placement, rng);
-  const std::unique_ptr<data::ReadingSource> env_owner =
-      data::make_environment(cfg_.exp.field_backend, topo,
-                             cfg_.exp.placement.sensor_type_count,
-                             rng.substream("environment"));
-  data::ReadingSource& env = *env_owner;
-  std::vector<NodeId> roots;
-  if (!cfg_.exp.sinks.empty()) {
-    roots = cfg_.exp.sinks;
-  } else if (cfg_.exp.sink_count <= 1) {
-    roots = {0};
-  } else {
-    roots = net::spread_roots(topo, cfg_.exp.sink_count);
-  }
-  core::DirqNetwork network(topo, roots, cfg_.exp.network);
+  // Hour-0 prior: the offered rate itself is the best advertised estimate
+  // of queries per hour, split evenly across sinks by the Session.
+  core::Session session(
+      cfg_.exp, cfg_.trace.rate * static_cast<double>(cfg_.exp.epochs_per_hour));
+  core::DirqNetwork& network = session.network();
   const std::size_t n_sinks = network.tree_count();
-  const unsigned threads = core::Experiment::effective_threads(cfg_.exp);
-  if (threads > 1) network.set_threads(threads);
 
   // The arrival stream's predicate pool is drawn against the epoch-0
   // field, like the batch workload's first query.
-  env.advance_to(0);
   query::WorkloadGenerator workload(
-      topo, network.tree(), env,
+      session.topology(), network.tree(), session.environment(),
       query::WorkloadConfig{cfg_.exp.relevant_fraction, 0.02},
-      rng.substream("workload"));
+      session.substream("workload"));
   TraceGen trace = [&]() -> TraceGen {
     if (!cfg_.replay_path.empty()) {
       std::ifstream in(cfg_.replay_path);
@@ -86,41 +66,20 @@ ServeResults Server::run() {
       }
       return TraceGen(cfg_.trace, TraceGen::load_trace(in));
     }
-    return TraceGen(cfg_.trace, workload, rng.substream("serve-trace"));
+    return TraceGen(cfg_.trace, workload, session.substream("serve-trace"));
   }();
 
   core::QueryAdmission admission(cfg_.exp.routing, network.trees());
   FrontEnd front_end(cfg_.front_end, network, admission);
-  std::vector<query::QueryRatePredictor> predictors;
-  predictors.reserve(n_sinks);
-  for (std::size_t t = 0; t < n_sinks; ++t) {
-    predictors.emplace_back(0.4, cfg_.exp.epochs_per_hour);
-  }
-  front_end.set_on_injected([&predictors](TreeId tree, std::int64_t epoch) {
-    predictors.at(tree).record_query(epoch);
+  front_end.set_on_injected([&session](TreeId tree, std::int64_t epoch) {
+    session.record_query(tree, epoch);
   });
-
-  // Hour-0 prior: the offered rate itself is the best advertised estimate
-  // of queries per hour, split evenly across sinks like the batch driver.
-  const double prior_ehr =
-      cfg_.trace.rate * static_cast<double>(cfg_.exp.epochs_per_hour);
 
   using Clock = std::chrono::steady_clock;
   const Clock::time_point wall_start = Clock::now();
 
   std::vector<Arrival> arrivals;
-  for (std::int64_t epoch = 0; epoch < cfg_.duration_epochs; ++epoch) {
-    env.advance_to(epoch);
-    if (epoch % cfg_.exp.epochs_per_hour == 0) {
-      for (TreeId t = 0; t < static_cast<TreeId>(n_sinks); ++t) {
-        const double ehr =
-            predictors[t].completed_hours() > 0
-                ? predictors[t].predict_next_hour()
-                : prior_ehr / static_cast<double>(n_sinks);
-        network.broadcast_ehr(t, ehr, epoch);
-      }
-    }
-    network.process_epoch(env, epoch);
+  session.run(cfg_.duration_epochs, [&](std::int64_t epoch) {
     arrivals.clear();
     trace.drain_until(epoch, arrivals);
     for (const Arrival& a : arrivals) front_end.offer(a);
@@ -137,7 +96,7 @@ ServeResults Server::run() {
                                cfg_.pace_epochs_per_sec));
       std::this_thread::sleep_until(deadline);
     }
-  }
+  });
 
   ServeResults res;
   res.duration_epochs = cfg_.duration_epochs;

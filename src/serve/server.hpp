@@ -2,8 +2,8 @@
 //
 // Where core::Experiment runs the paper's closed evaluation loop (one
 // query every query_period, answered before the next), the Server runs the
-// network as a *service*: a virtual-time pacer advances DirqNetwork epochs
-// deterministically (1 epoch == 1 virtual second) while an open-loop
+// network as a *service* on the same core::Session (world, EHr cadence,
+// epoch clock): 1 epoch == 1 virtual second while an open-loop
 // serve::TraceGen pushes query arrivals at the front-end, which batches
 // them through admission and the result cache. Overload is a first-class
 // state — arrivals outrun the injection budget, the queue grows, latency
@@ -21,10 +21,9 @@
 // audit), and the result cache's cache-vs-live bitwise contract assumes
 // re-running a query reads identical network state — a lossy channel's
 // per-delivery counters advance on re-injection and would break that.
-// The parallel epoch engine itself handles LMAC and lossy batch runs now
-// (DirqNetwork::set_threads); serving them needs an asynchronous
-// completion path and loss-aware cache invalidation — validate() rejects
-// those configs rather than quietly mis-measuring.
+// Session builds LMAC and lossy worlds for batch; serving them needs an
+// asynchronous completion path and loss-aware cache invalidation —
+// validate() rejects those configs rather than quietly mis-measuring.
 #pragma once
 
 #include <cstdint>
@@ -94,7 +93,7 @@ class Server {
  public:
   explicit Server(ServeConfig cfg) : cfg_(std::move(cfg)) {}
 
-  /// Builds the world from the seed and runs the paced serve loop.
+  /// Builds a core::Session and runs the paced serve loop on it.
   ServeResults run();
 
   [[nodiscard]] const ServeConfig& config() const noexcept { return cfg_; }

@@ -284,6 +284,19 @@ TEST(Experiment, ConfigValidationRejectsBadRatesAndLmacGeometry) {
     cfg.lmac.ticks_per_slot = 0;
     EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument);
   }
+  // A fixed theta outside (0, 100] — or NaN — used to run silently (a
+  // negative theta floods updates, NaN answers nothing).
+  for (const double pct : {-5.0, 0.0, std::nan(""), 100.5}) {
+    ExperimentConfig cfg = short_cfg();
+    cfg.network.fixed_pct = pct;
+    EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument) << pct;
+  }
+  {
+    ExperimentConfig cfg = short_cfg();
+    cfg.network.sampling.enabled = true;
+    cfg.network.sampling.margin_frac = 1.5;
+    EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument);
+  }
 }
 
 ExperimentConfig lmac_cfg(std::int64_t epochs = 800) {

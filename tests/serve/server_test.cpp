@@ -63,6 +63,49 @@ TEST(ServeDeterminism, DifferentSeedsDiverge) {
   EXPECT_NE(a, b);
 }
 
+// Pinned dirq.serve.v1 bytes: SameConfigSameBytes compares two runs of one
+// build, so a change that shifts serve output moves both sides alike. These
+// FNV-1a digests fix the documents themselves for three configs covering
+// the single- and multi-sink planes, both arrival shapes, the
+// multi-attribute slice and the cache-off path on the parallel engine.
+struct ServeGolden {
+  const char* name;
+  ServeConfig cfg;
+  std::uint64_t digest;
+};
+
+std::vector<ServeGolden> serve_goldens() {
+  std::vector<ServeGolden> out;
+  // 1 sink, fixed theta, Poisson, cache on.
+  out.push_back({"one_sink_fixed_poisson_cache", small_config(),
+                 0xbe23d5c86ecb4ed3ULL});
+  // 4 sinks, ATC, burst arrivals, 10 % multi-attribute.
+  ServeConfig multi = small_config();
+  multi.exp.sink_count = 4;
+  multi.exp.network.mode = core::NetworkConfig::ThetaMode::Atc;
+  multi.trace.shape = ArrivalShape::Burst;
+  multi.trace.multi_attr_fraction = 0.1;
+  out.push_back({"four_sinks_atc_burst_multi", multi, 0x97df91f24598a96aULL});
+  // Cache off, all hardware threads.
+  ServeConfig off = small_config();
+  off.front_end.cache_enabled = false;
+  off.exp.threads = 0;
+  out.push_back({"cache_off_all_threads", off, 0x0b022f3dfba9ca56ULL});
+  return out;
+}
+
+TEST(ServeGoldens, DocumentDigestsArePinned) {
+#if !defined(__GLIBCXX__)
+  GTEST_SKIP() << "digests are recorded against libstdc++'s distribution "
+                  "implementations";
+#else
+  for (const ServeGolden& g : serve_goldens()) {
+    const std::uint64_t got = sim::fnv1a(run_to_json(g.cfg));
+    EXPECT_EQ(got, g.digest) << g.name << ": got 0x" << std::hex << got;
+  }
+#endif
+}
+
 TEST(ServeConfigValidation, RejectsUnsupportedBackends) {
   ServeConfig cfg = small_config();
   cfg.exp.transport = core::TransportKind::Lmac;

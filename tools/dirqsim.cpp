@@ -27,6 +27,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -187,6 +188,104 @@ std::pair<std::int64_t, std::int64_t> parse_burst_spec(const std::string& s,
     on_error(2);
   }
   return {length, gap};
+}
+
+/// --threads for every front-end: 0 means all hardware threads.
+unsigned parse_threads(const char* value, UsageFn on_error) {
+  const std::int64_t v = parse_int("--threads", value, on_error);
+  if (v < 0 || v > 4096) {
+    std::cerr << "--threads must be in [0, 4096], got: " << value << "\n";
+    on_error(2);
+  }
+  return static_cast<unsigned>(v);
+}
+
+/// Parses one of the world flags the batch and serve front-ends share —
+/// --seed --nodes --sinks --routing --relevant --theta --atc --field
+/// --threads — into `cfg`, holding --nodes in `node_count` for settle().
+/// Ranges are left to validate(). Returns false when `arg` is not a world
+/// flag; otherwise advances `i` past the value it consumed.
+bool parse_world_flag(const std::string& arg, const char* next, int& i,
+                      dirq::core::ExperimentConfig& cfg,
+                      std::optional<std::size_t>& node_count,
+                      UsageFn on_error) {
+  using namespace dirq;
+  if (arg == "--atc") {
+    cfg.network.mode = core::NetworkConfig::ThetaMode::Atc;
+    return true;
+  }
+  if (arg == "--seed") {
+    cfg.seed = parse_uint("--seed", next, on_error);
+  } else if (arg == "--nodes") {
+    node_count = static_cast<std::size_t>(
+        parse_positive_int("--nodes", next, on_error));
+  } else if (arg == "--relevant") {
+    cfg.relevant_fraction = parse_double("--relevant", next, on_error);
+  } else if (arg == "--theta") {
+    cfg.network.mode = core::NetworkConfig::ThetaMode::Fixed;
+    cfg.network.fixed_pct = parse_double("--theta", next, on_error);
+  } else if (arg == "--field") {
+    cfg.field_backend = parse_field_backend(next, on_error);
+  } else if (arg == "--threads") {
+    cfg.threads = parse_threads(next, on_error);
+  } else if (arg == "--routing") {
+    const std::string policy = next != nullptr ? next : "";
+    if (policy == "admission") {
+      cfg.routing = core::RoutingPolicy::Admission;
+    } else if (policy == "roundrobin") {
+      cfg.routing = core::RoutingPolicy::RoundRobin;
+    } else {
+      std::cerr << "--routing must be 'admission' or 'roundrobin', got: "
+                << policy << "\n";
+      on_error(2);
+    }
+  } else if (arg == "--sinks") {
+    // A bare integer is a sink count (spread placement); a comma list is
+    // explicit root ids. Bounds (count >= 1, ids inside the topology, no
+    // duplicates) are validate()'s.
+    if (next == nullptr) {
+      std::cerr << "missing value for --sinks\n";
+      on_error(2);
+    }
+    const std::string spec = next;
+    cfg.sinks.clear();
+    if (spec.find(',') == std::string::npos) {
+      cfg.sink_count =
+          static_cast<std::size_t>(parse_int("--sinks", next, on_error));
+    } else {
+      std::istringstream in(spec);
+      std::string item;
+      while (std::getline(in, item, ',')) {
+        cfg.sinks.push_back(static_cast<NodeId>(
+            parse_int("--sinks", item.c_str(), on_error)));
+      }
+    }
+  } else {
+    return false;
+  }
+  ++i;
+  return true;
+}
+
+/// The one step every front-end takes after parsing: apply --nodes — once,
+/// from the pristine default placement, so repeated flags are
+/// last-one-wins instead of compounding (density-preserving scaling beyond
+/// the paper's 50 nodes, see net::scaled_placement) — then validate the
+/// whole config. The library's validate() is the only range check; a
+/// rejected config exits 2 with its message.
+template <class Config>
+void settle(const char* prog, Config& cfg,
+            dirq::net::RandomPlacementConfig& placement,
+            std::optional<std::size_t> node_count) {
+  if (node_count) {
+    placement = dirq::net::scaled_placement(*node_count, placement);
+  }
+  try {
+    cfg.validate();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << prog << ": " << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 [[noreturn]] void sweep_usage(int code) {
@@ -351,13 +450,7 @@ int run_sweep(int argc, char** argv) {
       query_period = parse_positive_int("--query-period", next, sweep_usage);
       ++i;
     } else if (arg == "--threads") {
-      // 0 is meaningful: use hardware concurrency (the documented default).
-      const std::int64_t v = parse_int("--threads", next, sweep_usage);
-      if (v < 0 || v > 4096) {
-        std::cerr << "--threads must be in [0, 4096], got: " << next << "\n";
-        sweep_usage(2);
-      }
-      threads = static_cast<unsigned>(v);
+      threads = parse_threads(next, sweep_usage);
       ++i;
     } else if (arg == "--json") {
       if (next == nullptr) {
@@ -394,30 +487,13 @@ int run_sweep(int argc, char** argv) {
       if (t == "atc" || t == "ATC") {
         thetas.push_back(sweep::atc());
       } else {
-        const double pct = parse_list_double("--theta", t);
-        if (!(pct > 0.0 && pct <= 100.0)) {
-          std::cerr << "--theta fixed percents must be in (0, 100]\n";
-          return 2;
-        }
-        thetas.push_back(sweep::fixed_theta(pct));
+        thetas.push_back(sweep::fixed_theta(parse_list_double("--theta", t)));
       }
     }
     plan.axis(sweep::theta_axis(std::move(thetas)));
-    for (const double f : relevant_list) {
-      if (!(f > 0.0 && f <= 1.0)) {
-        std::cerr << "--relevant fractions must be in (0, 1]\n";
-        return 2;
-      }
-    }
     plan.axis(sweep::relevant_axis(relevant_list));
   }
   plan.axis(sweep::seed_axis(seed_list));
-  for (const double l : loss_list) {
-    if (!(l >= 0.0 && l < 1.0)) {
-      std::cerr << "--loss rates must be in [0, 1)\n";
-      return 2;
-    }
-  }
   plan.axis(sweep::loss_axis(loss_list));
   std::vector<core::TransportKind> transports;
   for (const std::string& m : mac_list) {
@@ -437,13 +513,17 @@ int run_sweep(int argc, char** argv) {
   plan.axis(sweep::burst_axis(burst_list));
   plan.axis(sweep::field_axis(field_list));
 
-  std::size_t total = 0;
+  std::vector<sweep::PlanCell> cells;
   try {
-    total = plan.size();
+    cells = plan.cells();
   } catch (const std::exception& e) {
     std::cerr << "dirqsim sweep: " << e.what() << "\n";
     return 2;
   }
+  for (sweep::PlanCell& cell : cells) {
+    settle("dirqsim sweep", cell.config, cell.config.placement, std::nullopt);
+  }
+  const std::size_t total = cells.size();
 
   sweep::SweepOptions opts;
   opts.threads = threads;
@@ -574,6 +654,9 @@ int run_serve(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (parse_world_flag(arg, next, i, cfg.exp, node_count, serve_usage)) {
+      continue;
+    }
     if (arg == "--help" || arg == "-h") {
       serve_usage(0);
     } else if (arg == "--rate") {
@@ -629,12 +712,7 @@ int run_serve(int argc, char** argv) {
           parse_positive_int("--cache-entries", next, serve_usage));
       ++i;
     } else if (arg == "--stale") {
-      const std::int64_t v = parse_int("--stale", next, serve_usage);
-      if (v < 0) {
-        std::cerr << "--stale must be >= 0\n";
-        return 2;
-      }
-      cfg.front_end.stale_epochs = v;
+      cfg.front_end.stale_epochs = parse_int("--stale", next, serve_usage);
       ++i;
     } else if (arg == "--max-inject") {
       cfg.front_end.max_inject_per_boundary = static_cast<std::size_t>(
@@ -673,69 +751,6 @@ int run_serve(int argc, char** argv) {
       ++i;
     } else if (arg == "--pace") {
       cfg.pace_epochs_per_sec = parse_double("--pace", next, serve_usage);
-      if (!(cfg.pace_epochs_per_sec >= 0.0)) {
-        std::cerr << "--pace must be >= 0\n";
-        return 2;
-      }
-      ++i;
-    } else if (arg == "--sinks") {
-      const std::string spec = next != nullptr ? next : "";
-      if (next == nullptr) {
-        std::cerr << "missing value for --sinks\n";
-        serve_usage(2);
-      }
-      cfg.exp.sinks.clear();
-      if (spec.find(',') == std::string::npos) {
-        cfg.exp.sink_count = static_cast<std::size_t>(
-            parse_int("--sinks", next, serve_usage));
-      } else {
-        std::istringstream in(spec);
-        std::string item;
-        while (std::getline(in, item, ',')) {
-          cfg.exp.sinks.push_back(static_cast<dirq::NodeId>(
-              parse_int("--sinks", item.c_str(), serve_usage)));
-        }
-      }
-      ++i;
-    } else if (arg == "--routing") {
-      const std::string policy = next != nullptr ? next : "";
-      if (policy == "admission") {
-        cfg.exp.routing = core::RoutingPolicy::Admission;
-      } else if (policy == "roundrobin") {
-        cfg.exp.routing = core::RoutingPolicy::RoundRobin;
-      } else {
-        std::cerr << "--routing must be 'admission' or 'roundrobin', got: "
-                  << policy << "\n";
-        return 2;
-      }
-      ++i;
-    } else if (arg == "--seed") {
-      cfg.exp.seed = parse_uint("--seed", next, serve_usage);
-      ++i;
-    } else if (arg == "--nodes") {
-      node_count = static_cast<std::size_t>(
-          parse_positive_int("--nodes", next, serve_usage));
-      ++i;
-    } else if (arg == "--relevant") {
-      cfg.exp.relevant_fraction =
-          parse_double("--relevant", next, serve_usage);
-      ++i;
-    } else if (arg == "--theta") {
-      cfg.exp.network.mode = core::NetworkConfig::ThetaMode::Fixed;
-      cfg.exp.network.fixed_pct = parse_double("--theta", next, serve_usage);
-      ++i;
-    } else if (arg == "--atc") {
-      cfg.exp.network.mode = core::NetworkConfig::ThetaMode::Atc;
-    } else if (arg == "--field") {
-      cfg.exp.field_backend = parse_field_backend(next, serve_usage);
-      ++i;
-    } else if (arg == "--threads") {
-      const std::int64_t v = parse_int("--threads", next, serve_usage);
-      if (v < 0 || v > 4096) {
-        std::cerr << "--threads must be in [0, 4096], got: " << next << "\n";
-        serve_usage(2);
-      }
-      cfg.exp.threads = static_cast<unsigned>(v);
       ++i;
     } else if (arg == "--json") {
       if (next == nullptr) {
@@ -749,19 +764,7 @@ int run_serve(int argc, char** argv) {
       serve_usage(2);
     }
   }
-  if (node_count) {
-    cfg.exp.placement = net::scaled_placement(*node_count, cfg.exp.placement);
-  }
-  if (!(cfg.exp.relevant_fraction > 0.0 && cfg.exp.relevant_fraction <= 1.0)) {
-    std::cerr << "--relevant must be in (0, 1]\n";
-    return 2;
-  }
-  if (cfg.exp.network.mode == core::NetworkConfig::ThetaMode::Fixed &&
-      !(cfg.exp.network.fixed_pct > 0.0 &&
-        cfg.exp.network.fixed_pct <= 100.0)) {
-    std::cerr << "--theta must be in (0, 100]\n";
-    return 2;
-  }
+  settle("dirqsim serve", cfg, cfg.exp.placement, node_count);
 
   serve::ServeResults res;
   try {
@@ -873,15 +876,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (parse_world_flag(arg, next, i, cfg, node_count, usage)) continue;
     if (arg == "--help" || arg == "-h") {
       usage(0);
-    } else if (arg == "--seed") {
-      cfg.seed = parse_uint("--seed", next);
-      ++i;
-    } else if (arg == "--nodes") {
-      node_count =
-          static_cast<std::size_t>(parse_positive_int("--nodes", next));
-      ++i;
     } else if (arg == "--epochs") {
       cfg.epochs = parse_positive_int("--epochs", next);
       ++i;
@@ -907,59 +904,8 @@ int main(int argc, char** argv) {
         return 2;
       }
       ++i;
-    } else if (arg == "--field") {
-      cfg.field_backend = parse_field_backend(next, usage);
-      ++i;
-    } else if (arg == "--relevant") {
-      cfg.relevant_fraction = parse_double("--relevant", next);
-      ++i;
     } else if (arg == "--loss") {
       cfg.loss_rate = parse_double("--loss", next);
-      ++i;
-    } else if (arg == "--theta") {
-      cfg.network.mode = core::NetworkConfig::ThetaMode::Fixed;
-      cfg.network.fixed_pct = parse_double("--theta", next);
-      ++i;
-    } else if (arg == "--atc") {
-      cfg.network.mode = core::NetworkConfig::ThetaMode::Atc;
-    } else if (arg == "--sinks") {
-      // A bare integer is a sink count (spread placement); a comma list is
-      // explicit root ids. Bounds (count >= 1, ids inside the topology, no
-      // duplicates) are enforced by ExperimentConfig::validate so the CLI
-      // and library agree on one error surface.
-      const std::string spec = next != nullptr ? next : "";
-      if (next == nullptr) {
-        std::cerr << "missing value for --sinks\n";
-        usage(2);
-      }
-      cfg.sinks.clear();
-      if (spec.find(',') == std::string::npos) {
-        cfg.sink_count =
-            static_cast<std::size_t>(parse_int("--sinks", next));
-      } else {
-        for (const std::string& s : [&] {
-               std::vector<std::string> out;
-               std::istringstream in(spec);
-               std::string item;
-               while (std::getline(in, item, ',')) out.push_back(item);
-               return out;
-             }()) {
-          cfg.sinks.push_back(static_cast<dirq::NodeId>(
-              parse_int("--sinks", s.c_str())));
-        }
-      }
-      ++i;
-    } else if (arg == "--routing") {
-      const std::string policy = next != nullptr ? next : "";
-      if (policy == "admission") {
-        cfg.routing = core::RoutingPolicy::Admission;
-      } else if (policy == "roundrobin") {
-        cfg.routing = core::RoutingPolicy::RoundRobin;
-      } else {
-        std::cerr << "--routing must be 'admission' or 'roundrobin', got: "
-                  << policy << "\n";
-        return 2;
-      }
       ++i;
     } else if (arg == "--multi-frac") {
       cfg.multi_attr_fraction = parse_double("--multi-frac", next);
@@ -972,16 +918,6 @@ int main(int argc, char** argv) {
       cfg.network.sampling.enabled = true;
       cfg.network.sampling.margin_frac = parse_double("--sampling", next);
       ++i;
-    } else if (arg == "--threads") {
-      // 0 is meaningful: all hardware threads (same contract as the
-      // sweep's worker-pool flag).
-      const std::int64_t v = parse_int("--threads", next);
-      if (v < 0 || v > 4096) {
-        std::cerr << "--threads must be in [0, 4096], got: " << next << "\n";
-        usage(2);
-      }
-      cfg.threads = static_cast<unsigned>(v);
-      ++i;
     } else if (arg == "--series") {
       print_series = true;
     } else {
@@ -989,33 +925,7 @@ int main(int argc, char** argv) {
       usage(2);
     }
   }
-  if (node_count) {
-    // Applied once, from the pristine default placement, so repeated
-    // --nodes flags are last-one-wins instead of compounding the scaled
-    // geometry. Density-preserving scaling kicks in beyond the paper's
-    // 50 nodes (see net::scaled_placement).
-    cfg.placement = dirq::net::scaled_placement(*node_count, cfg.placement);
-  }
-  // Negated comparisons so NaN (std::stod("nan")) is rejected too.
-  if (!(cfg.relevant_fraction > 0.0 && cfg.relevant_fraction <= 1.0)) {
-    std::cerr << "--relevant must be in (0, 1]\n";
-    return 2;
-  }
-  if (!(cfg.loss_rate >= 0.0 && cfg.loss_rate < 1.0)) {
-    std::cerr << "--loss must be in [0, 1)\n";
-    return 2;
-  }
-  if (cfg.network.mode == core::NetworkConfig::ThetaMode::Fixed &&
-      !(cfg.network.fixed_pct > 0.0 && cfg.network.fixed_pct <= 100.0)) {
-    std::cerr << "--theta must be in (0, 100]\n";
-    return 2;
-  }
-  if (cfg.network.sampling.enabled &&
-      !(cfg.network.sampling.margin_frac >= 0.0 &&
-        cfg.network.sampling.margin_frac <= 1.0)) {
-    std::cerr << "--sampling must be in [0, 1]\n";
-    return 2;
-  }
+  settle("dirqsim", cfg, cfg.placement, node_count);
 
   cfg.keep_records = false;
   core::ExperimentResults res;
