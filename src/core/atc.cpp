@@ -35,8 +35,13 @@ void AtcController::on_reading(SensorType type, double reading) {
 }
 
 void AtcController::on_update_sent(SensorType type, std::int64_t epoch) {
-  sent_epochs_.push_back(epoch);
-  state(type).sent_epochs.push_back(epoch);
+  const std::int64_t window_start = epoch - cfg_.rate_window_epochs;
+  for (auto* w : {&sent_epochs_, &state(type).sent_epochs}) {
+    w->push_back(epoch);
+    // !empty(): a negative window (ExperimentConfig rejects any below 1,
+    // this class does not) trims the entry just appended too.
+    while (!w->empty() && w->front() < window_start) w->pop_front();
+  }
 }
 
 void AtcController::on_ehr(const EhrMessage& msg, std::int64_t /*epoch*/) {
@@ -46,29 +51,24 @@ void AtcController::on_ehr(const EhrMessage& msg, std::int64_t /*epoch*/) {
   budget_per_hour_ = msg.umax_per_hour / static_cast<double>(msg.alive_nodes);
 }
 
-double AtcController::estimated_rate_per_hour(std::int64_t epoch) const {
+std::size_t AtcController::in_window(const std::deque<std::int64_t>& window,
+                                     std::int64_t epoch) const {
   const std::int64_t window_start = epoch - cfg_.rate_window_epochs;
-  std::size_t in_window = 0;
-  for (auto it = sent_epochs_.rbegin(); it != sent_epochs_.rend(); ++it) {
-    if (*it < window_start) break;
-    ++in_window;
+  std::size_t n = 0;
+  for (auto it = window.rbegin(); it != window.rend() && *it >= window_start;
+       ++it) {
+    ++n;
   }
-  return static_cast<double>(in_window) *
+  return n;
+}
+
+double AtcController::estimated_rate_per_hour(std::int64_t epoch) const {
+  return static_cast<double>(in_window(sent_epochs_, epoch)) *
          static_cast<double>(kEpochsPerHour) /
          static_cast<double>(cfg_.rate_window_epochs);
 }
 
 void AtcController::on_epoch(std::int64_t epoch) {
-  // Trim the sliding windows.
-  const std::int64_t window_start = epoch - cfg_.rate_window_epochs;
-  while (!sent_epochs_.empty() && sent_epochs_.front() < window_start) {
-    sent_epochs_.pop_front();
-  }
-  for (auto& [type, st] : types_) {
-    while (!st.sent_epochs.empty() && st.sent_epochs.front() < window_start) {
-      st.sent_epochs.pop_front();
-    }
-  }
   if (epoch - last_adjust_epoch_ >= cfg_.adjust_period) {
     last_adjust_epoch_ = epoch;
     adjust(epoch);
@@ -94,7 +94,7 @@ void AtcController::adjust(std::int64_t epoch) {
     return;  // inside the paper's 45-55 % band: hold
   }
 
-  const double total_sent = static_cast<double>(sent_epochs_.size());
+  const auto total_sent = static_cast<double>(in_window(sent_epochs_, epoch));
   for (auto& [type, st] : types_) {
     // Widening throttles update traffic, so it only makes sense for types
     // actually producing traffic: scale the widen step by this type's
@@ -105,7 +105,8 @@ void AtcController::adjust(std::int64_t epoch) {
     double share = 1.0;
     if (direction > 0.0) {
       share = total_sent > 0.0
-                  ? static_cast<double>(st.sent_epochs.size()) / total_sent
+                  ? static_cast<double>(in_window(st.sent_epochs, epoch)) /
+                        total_sent
                   : 0.0;
       if (share <= 0.0) continue;
     }

@@ -59,21 +59,16 @@ class ThetaController {
     return theta(type) / nominal_span(type) * 100.0;
   }
 
-  // Feedback hooks (no-ops for fixed thresholds).
+  // Feedback hooks (no-ops for fixed thresholds). The epoch engine calls
+  // on_reading from its parallel sensing phase, so it may touch only this
+  // controller's own state and must leave theta alone. Every other hook
+  // runs on the calling thread: on_update_sent and on_epoch at the node's
+  // position in the sequential walk (on_epoch after the node's own
+  // commits), on_ehr during the hourly flood.
   virtual void on_reading(SensorType /*type*/, double /*reading*/) {}
   virtual void on_update_sent(SensorType /*type*/, std::int64_t /*epoch*/) {}
   virtual void on_ehr(const EhrMessage& /*msg*/, std::int64_t /*epoch*/) {}
   virtual void on_epoch(std::int64_t /*epoch*/) {}
-
-  /// True when on_epoch(epoch) commutes with every other hook call of
-  /// that epoch (on_reading, and on_update_sent(type, epoch)) — it leaves
-  /// theta alone — so the epoch engine may run it in its parallel sensing
-  /// phase instead of at the node's walk position. A controller opts in
-  /// only where it can show this.
-  [[nodiscard]] virtual bool epoch_step_commutes(
-      std::int64_t /*epoch*/) const {
-    return false;
-  }
 };
 
 /// Fixed threshold: theta_pct percent of each type's nominal span.
@@ -102,7 +97,7 @@ struct AtcConfig {
   /// Update-suppression ceiling. Also bounds the worst-case staleness of
   /// any announced range (theta per hop), i.e. the coverage guarantee.
   double max_pct = 12.0;
-  /// Sliding window (epochs) over which the node estimates its own
+  /// Sliding window (epochs, >= 1) over which the node estimates its own
   /// update-transmission rate. One paper "hour" is 3600 epochs; a shorter
   /// window reacts faster at the price of estimation noise.
   std::int64_t rate_window_epochs = 600;
@@ -128,14 +123,8 @@ class AtcController final : public ThetaController {
   void on_reading(SensorType type, double reading) override;
   void on_update_sent(SensorType type, std::int64_t epoch) override;
   void on_ehr(const EhrMessage& msg, std::int64_t epoch) override;
+  /// Adjusts theta every adjust_period epochs; otherwise does nothing.
   void on_epoch(std::int64_t epoch) override;
-  /// Without an adjustment due, on_epoch only trims the rate windows below
-  /// epoch - rate_window_epochs, and the epoch's on_update_sent calls
-  /// only append `epoch` itself, so the two commute.
-  [[nodiscard]] bool epoch_step_commutes(std::int64_t epoch) const override {
-    return epoch - last_adjust_epoch_ < cfg_.adjust_period &&
-           cfg_.rate_window_epochs >= 0;
-  }
 
   /// Node's current updates/hour budget share (0 before the first EHr).
   [[nodiscard]] double budget_per_hour() const noexcept { return budget_per_hour_; }
@@ -151,17 +140,24 @@ class AtcController final : public ThetaController {
     sim::Ewma variability;     // EWMA of |reading - prev reading|
     double prev_reading = 0.0;
     bool has_prev = false;
-    std::deque<std::int64_t> sent_epochs;  // this type's txs in the window
+    std::deque<std::int64_t> sent_epochs;  // this type's txs; see sent_epochs_
     TypeState() : variability(0.0) {}
     explicit TypeState(double alpha) : variability(alpha) {}
   };
 
   TypeState& state(SensorType type);
   void adjust(std::int64_t epoch);
+  /// Entries of `window` at or after epoch - rate_window_epochs.
+  [[nodiscard]] std::size_t in_window(const std::deque<std::int64_t>& window,
+                                      std::int64_t epoch) const;
 
   AtcConfig cfg_;
   std::map<SensorType, TypeState> types_;
-  std::deque<std::int64_t> sent_epochs_;  // all update txs inside the window
+  // Epochs of update txs, all types and per type, in non-decreasing order.
+  // Each append trims the window below its own epoch, so entries a later
+  // epoch has pushed out may linger until the next append; every reader
+  // counts in-window entries from the back (in_window).
+  std::deque<std::int64_t> sent_epochs_;
   double budget_per_hour_ = 0.0;
   std::int64_t last_adjust_epoch_ = 0;
 };

@@ -40,13 +40,9 @@ void DirqNode::sample(SensorType type, double reading, std::int64_t epoch) {
   // One physical sample, observed by every tree slot: each tree keeps its
   // own theta and its own sent tuple, so one reading can trigger an update
   // in one tree and none in another.
+  observe_reading(type, reading);
   for (TreeId tree = 0; tree < slots_.size(); ++tree) {
-    TreeSlot& slot = slots_[tree];
-    slot.controller->on_reading(type, reading);
-    RangeTable& t = slot.tables[type];
-    if (t.observe(reading, slot.controller->theta(type))) {
-      maybe_send_update(tree, type, t, epoch);
-    }
+    commit_reading(tree, type, reading, epoch);
   }
 }
 

@@ -98,22 +98,25 @@ class DirqNode {
   /// Feeds one epoch's reading for an attached sensor. The reading is
   /// observed by every tree slot (one physical sample, N protocol views);
   /// each slot may emit an Update Message toward its own parent if its
-  /// aggregate moved beyond its theta.
+  /// aggregate moved beyond its theta. sample() is the sensor guard, the
+  /// stale flag, observe_reading, then commit_reading for every slot in
+  /// ascending TreeId — the two halves DirqNetwork's two-phase epoch
+  /// engine calls directly.
   void sample(SensorType type, double reading, std::int64_t epoch);
 
-  /// End-of-epoch hook: drives every slot's threshold controller.
+  /// End-of-epoch hook: drives every slot's threshold controller. The
+  /// epoch engine calls it at the node's walk position, after the node's
+  /// own commits.
   void end_epoch(std::int64_t epoch);
 
-  /// sample() split in two for DirqNetwork's two-phase epoch engine.
-  /// observe_reading is the node-local half (every slot's controller
-  /// sees the reading; safe to run concurrently for distinct nodes);
-  /// commit_reading is one slot's table half, run in walk order: it
-  /// re-centres the slot's own tuple when the reading escapes it and
-  /// emits the update if the aggregate moved. Calling observe_reading and
-  /// then commit_reading for every slot in ascending TreeId order is
-  /// equivalent to one sample() call. commit_reading returns the slot's
-  /// own tuple afterwards. Neither checks the attached-sensor guard —
-  /// the engine's plan only routes attached types here.
+  /// The halves of sample(). observe_reading is the node-local half
+  /// (every slot's controller sees the reading; safe to run concurrently
+  /// for distinct nodes); commit_reading is one slot's table half, run in
+  /// walk order: it re-centres the slot's own tuple when the reading
+  /// escapes it and emits the update if the aggregate moved, and returns
+  /// the slot's own tuple afterwards. Neither checks the attached-sensor
+  /// guard or raises the stale flag — the engine's plan only routes
+  /// attached types here and mirrors the own tuple itself.
   void observe_reading(SensorType type, double reading);
   RangeEntry commit_reading(TreeId tree, SensorType type, double reading,
                             std::int64_t epoch);

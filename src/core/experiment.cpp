@@ -42,6 +42,16 @@ void ExperimentConfig::validate() const {
       !(network.fixed_pct > 0.0 && network.fixed_pct <= 100.0)) {
     fail("network.fixed_pct must be in (0, 100]");
   }
+  if (network.mode == NetworkConfig::ThetaMode::Atc) {
+    const AtcConfig& atc = network.atc;
+    if (atc.rate_window_epochs < 1) {
+      fail("network.atc.rate_window_epochs must be >= 1");
+    }
+    if (!(atc.initial_pct > 0.0)) fail("network.atc.initial_pct must be > 0");
+    if (!(atc.min_pct <= atc.max_pct)) {
+      fail("network.atc.min_pct must be <= network.atc.max_pct");
+    }
+  }
   if (network.sampling.enabled && !(network.sampling.margin_frac >= 0.0 &&
                                     network.sampling.margin_frac <= 1.0)) {
     fail("network.sampling.margin_frac must be in [0, 1]");

@@ -99,11 +99,7 @@ struct DirqNetwork::EpochPlan {
   /// epochs skip both hooks.
   bool adaptive = false;
   std::vector<NodeId> walk;
-  /// Per walk position: phase A left the node's end-of-epoch step to
-  /// phase B (adaptive runs).
-  std::vector<std::uint8_t> step_due;
   std::vector<NodeId> members;               // walk nodes, ascending id
-  std::vector<std::uint32_t> member_pos;     // walk position per member
   std::vector<std::uint32_t> sensor_count;   // per member
   std::vector<std::size_t> chunk_off;
   std::vector<TypePlan> types;
@@ -348,7 +344,6 @@ void DirqNetwork::rebuild_plan() {
     pos_of[*it] = static_cast<std::uint32_t>(p.walk.size());
     p.walk.push_back(*it);
   }
-  p.step_due.assign(p.walk.size(), 0);
   p.members = p.walk;
   std::sort(p.members.begin(), p.members.end());
   const std::size_t w = p.members.size();
@@ -368,7 +363,6 @@ void DirqNetwork::rebuild_plan() {
   }
   p.gated = cfg_.sampling.enabled;
   p.adaptive = cfg_.mode == NetworkConfig::ThetaMode::Atc;
-  p.member_pos.clear();
   p.sensor_count.clear();
   p.types.resize(type_count);
   for (EpochPlan::TypePlan& tp : p.types) {
@@ -386,7 +380,6 @@ void DirqNetwork::rebuild_plan() {
       const NodeId u = p.members[i];
       const DirqNode& node = nodes_[u];
       const std::vector<SensorType>& sensors = topo_.node(u).sensors;
-      p.member_pos.push_back(pos_of[u]);
       p.sensor_count.push_back(static_cast<std::uint32_t>(sensors.size()));
       for (SensorType t : sensors) {
         EpochPlan::TypePlan& tp = p.types[t];
@@ -504,22 +497,6 @@ void DirqNetwork::sense_chunk(const data::ReadingSource& env, std::size_t c,
       samplers_[p.members[i]].count_sample(p.sensor_count[i]);
     }
   }
-  if (!p.adaptive) return;
-  // A node's end-of-epoch step runs here when every slot's step commutes
-  // with the epoch's remaining hooks (ATC between adjustments: a window
-  // trim); otherwise phase B runs it at the node's walk position.
-  for (std::size_t i = p.chunk_off[c]; i < p.chunk_off[c + 1]; ++i) {
-    DirqNode& node = nodes_[p.members[i]];
-    bool commutes = true;
-    for (TreeId k = 0; k < trees && commutes; ++k) {
-      commutes = node.controller(k).epoch_step_commutes(epoch);
-    }
-    if (commutes) {
-      node.end_epoch(epoch);
-    } else {
-      p.step_due[p.member_pos[i]] = 1;
-    }
-  }
 }
 
 void DirqNetwork::commit_epoch(std::int64_t epoch) {
@@ -545,19 +522,16 @@ void DirqNetwork::commit_epoch(std::int64_t epoch) {
     for (const EpochPlan::Crossing& x : p.crossings) commit(x);
     return;
   }
-  // ATC: an end-of-epoch step phase A left here runs at the node's walk
-  // position, after its own commits and before any later node's. A child
-  // later in a multi-sink union walk can still relay through the node
-  // afterwards, exactly as in a sequential walk.
+  // ATC: every node's end-of-epoch step runs at its walk position, after
+  // its own commits and before any later node's. A child later in a
+  // multi-sink union walk can still relay through the node afterwards,
+  // exactly as in a sequential walk.
   std::size_t i = 0;
   for (std::uint32_t pos = 0; pos < p.walk.size(); ++pos) {
     for (; i < p.crossings.size() && p.crossings[i].pos == pos; ++i) {
       commit(p.crossings[i]);
     }
-    if (p.step_due[pos]) {
-      p.step_due[pos] = 0;
-      nodes_[p.walk[pos]].end_epoch(epoch);
-    }
+    nodes_[p.walk[pos]].end_epoch(epoch);
   }
 }
 

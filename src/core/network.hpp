@@ -142,19 +142,19 @@ class DirqNetwork final : public MessageSink {
   ///   * Phase A (node-local, parallel over chunks of whole nodes): the
   ///     sampling gate, the readings (one ReadingSource::readings call
   ///     per sensor type per chunk, or per type for sources that cannot
-  ///     split a type), the controllers' on_reading, the own-tuple test
-  ///     against a dense plane that mirrors every slot's
-  ///     RangeTable::own(), and each node's end-of-epoch controller step
-  ///     when it commutes with the rest of the epoch
-  ///     (ThetaController::epoch_step_commutes). It only records which
-  ///     readings escape their slot's tuple (paper Fig. 1).
+  ///     split a type), the controllers' on_reading, and the own-tuple
+  ///     test against a dense plane that mirrors every slot's
+  ///     RangeTable::own(). It only records which readings escape their
+  ///     slot's tuple (paper Fig. 1).
   ///   * Phase B (sequential, walk order): each recorded crossing is
   ///     committed at its node's walk position — after the updates of
   ///     children earlier in the walk, which must still aggregate the old
   ///     own tuple — followed by the update cascade and every send,
   ///     delivery and loss verdict exactly as a sequential walk makes
-  ///     them, then any end-of-epoch step phase A left to the walk (ATC
-  ///     adjustments). Nodes with neither are not visited.
+  ///     them. With ATC every walk node then runs its end-of-epoch
+  ///     controller step (DirqNode::end_epoch) there, after its own
+  ///     commits; with fixed thresholds only nodes with crossings are
+  ///     visited.
   void process_epoch(const data::ReadingSource& env, std::int64_t epoch);
 
   /// Worker count for phase A of process_epoch (1, the default, runs it

@@ -27,7 +27,11 @@ void ServeConfig::validate() const {
   if (duration_epochs <= 0) {
     throw std::invalid_argument("ServeConfig: duration_epochs must be > 0");
   }
-  if (replay_path.empty()) trace.validate();
+  if (replay_path.empty()) {
+    trace.validate();
+  } else {
+    trace.validate_rate();
+  }
   front_end.validate();
   if (!(pace_epochs_per_sec >= 0.0)) {
     throw std::invalid_argument(
@@ -64,7 +68,9 @@ ServeResults Server::run() {
         throw std::runtime_error("serve: cannot open replay trace " +
                                  cfg_.replay_path);
       }
-      return TraceGen(cfg_.trace, TraceGen::load_trace(in));
+      return TraceGen(cfg_.trace,
+                      TraceGen::load_trace(
+                          in, cfg_.exp.placement.sensor_type_count));
     }
     return TraceGen(cfg_.trace, workload, session.substream("serve-trace"));
   }();

@@ -10,10 +10,14 @@
 
 namespace dirq::serve {
 
-void TraceGenConfig::validate() const {
+void TraceGenConfig::validate_rate() const {
   if (!(rate > 0.0) || !std::isfinite(rate)) {
     throw std::invalid_argument("TraceGenConfig: rate must be finite and > 0");
   }
+}
+
+void TraceGenConfig::validate() const {
+  validate_rate();
   if (shape == ArrivalShape::Burst) {
     if (burst_length_epochs <= 0) {
       throw std::invalid_argument(
@@ -133,7 +137,8 @@ void TraceGen::emit_one(std::int64_t epoch, std::vector<Arrival>& out) {
   ++emitted_;
 }
 
-std::vector<Arrival> TraceGen::load_trace(std::istream& is) {
+std::vector<Arrival> TraceGen::load_trace(std::istream& is,
+                                          std::size_t sensor_type_count) {
   std::vector<Arrival> arrivals;
   std::string line;
   if (!std::getline(is, line)) {
@@ -158,6 +163,12 @@ std::vector<Arrival> TraceGen::load_trace(std::istream& is) {
     if (a.range.lo > a.range.hi) {
       throw std::runtime_error("serve trace: lo > hi at line " +
                                std::to_string(line_no));
+    }
+    if (type < 0 || static_cast<std::size_t>(type) >= sensor_type_count) {
+      throw std::runtime_error(
+          "serve trace: sensor type " + std::to_string(type) +
+          " outside the deployment's " + std::to_string(sensor_type_count) +
+          " types at line " + std::to_string(line_no));
     }
     prev_epoch = a.epoch;
     a.range.type = static_cast<SensorType>(type);

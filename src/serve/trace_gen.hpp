@@ -74,6 +74,9 @@ struct TraceGenConfig {
 
   /// Throws std::invalid_argument naming the offending field.
   void validate() const;
+  /// validate()'s rate check alone: replay ignores every other knob, but
+  /// the rate still seeds the serve plane's hour-0 EHr prior.
+  void validate_rate() const;
 };
 
 class TraceGen {
@@ -95,8 +98,10 @@ class TraceGen {
 
   /// Parses a recorded trace: one header line, then one
   /// `epoch <TAB> type <TAB> lo <TAB> hi` row per arrival, epochs
-  /// non-decreasing. Throws std::runtime_error on malformed input.
-  static std::vector<Arrival> load_trace(std::istream& is);
+  /// non-decreasing, types in [0, sensor_type_count) — the deployment's
+  /// types. Throws std::runtime_error naming the line on malformed input.
+  static std::vector<Arrival> load_trace(std::istream& is,
+                                         std::size_t sensor_type_count);
 
   [[nodiscard]] const TraceGenConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::int64_t emitted() const noexcept { return emitted_; }

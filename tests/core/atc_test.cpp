@@ -70,8 +70,28 @@ TEST(Atc, OldUpdatesLeaveTheWindow) {
   cfg.rate_window_epochs = 100;
   AtcController c(cfg);
   c.on_update_sent(kSensorTemperature, 0);
-  c.on_epoch(500);  // trims
+  c.on_epoch(500);  // no adjustment; the estimate skips pre-window entries
   EXPECT_DOUBLE_EQ(c.estimated_rate_per_hour(500), 0.0);
+}
+
+TEST(Atc, TypeEntriesOlderThanTheWindowGetNoWidenShare) {
+  AtcConfig cfg;
+  cfg.rate_window_epochs = 100;
+  cfg.adjust_period = 10;
+  AtcController c(cfg);
+  c.on_reading(kSensorTemperature, 20.0);
+  c.on_reading(kSensorHumidity, 50.0);
+  c.on_ehr(ehr(50.0, 50), 0);  // budget = 1/hour
+  // Humidity's entries stay in its window until its next append, which
+  // never comes; by epoch 500 they are outside the window.
+  for (std::int64_t e = 1; e <= 10; ++e) c.on_update_sent(kSensorHumidity, e);
+  const double humidity = c.theta_pct(kSensorHumidity);
+  for (std::int64_t e = 500; e <= 600; ++e) {
+    c.on_update_sent(kSensorTemperature, e);
+    c.on_epoch(e);
+  }
+  EXPECT_GT(c.theta_pct(kSensorTemperature), cfg.initial_pct);
+  EXPECT_DOUBLE_EQ(c.theta_pct(kSensorHumidity), humidity);
 }
 
 TEST(Atc, OverBudgetWidensTheta) {

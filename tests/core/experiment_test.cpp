@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "support/ledger_parity.hpp"
 
@@ -296,6 +297,32 @@ TEST(Experiment, ConfigValidationRejectsBadRatesAndLmacGeometry) {
     cfg.network.sampling.enabled = true;
     cfg.network.sampling.margin_frac = 1.5;
     EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument);
+  }
+  // ATC: the rate window divides the rate estimate, initial_pct the scale
+  // clamp, and min_pct > max_pct breaks theta()'s std::clamp.
+  const auto atc_cfg = [] {
+    ExperimentConfig cfg = short_cfg();
+    cfg.network.mode = NetworkConfig::ThetaMode::Atc;
+    return cfg;
+  };
+  for (const std::int64_t window : {std::int64_t{0}, std::int64_t{-5}}) {
+    ExperimentConfig cfg = atc_cfg();
+    cfg.network.atc.rate_window_epochs = window;
+    EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument) << window;
+  }
+  for (const double pct : {0.0, -1.0, std::nan("")}) {
+    ExperimentConfig cfg = atc_cfg();
+    cfg.network.atc.initial_pct = pct;
+    EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument) << pct;
+  }
+  for (const auto& [lo, hi] : {std::pair{13.0, 12.0},
+                               std::pair{std::nan(""), 12.0},
+                               std::pair{0.5, std::nan("")}}) {
+    ExperimentConfig cfg = atc_cfg();
+    cfg.network.atc.min_pct = lo;
+    cfg.network.atc.max_pct = hi;
+    EXPECT_THROW(Experiment(cfg).run(), std::invalid_argument)
+        << lo << " " << hi;
   }
 }
 

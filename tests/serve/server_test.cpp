@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -116,6 +117,17 @@ TEST(ServeConfigValidation, RejectsUnsupportedBackends) {
   cfg = small_config();
   cfg.duration_epochs = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+// Replay ignores the synthetic knobs, but Server::run still floods the
+// rate as the hour-0 EHr prior and write_serve_json echoes it.
+TEST(ServeConfigValidation, ReplayStillChecksTheRate) {
+  for (const double rate : {std::nan(""), 0.0}) {
+    ServeConfig cfg = small_config();
+    cfg.replay_path = "trace.tsv";
+    cfg.trace.rate = rate;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << rate;
+  }
 }
 
 // The containment theorem, tested against the live network: a cached

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "data/field_model.hpp"
@@ -169,7 +171,7 @@ TEST(TraceGen, ReplayRoundTripsATsvTrace) {
       "7\t0\t22\t23\n"
       "7\t2\t1\t2\n"
       "19\t0\t20\t25\n");
-  std::vector<Arrival> recorded = TraceGen::load_trace(tsv);
+  std::vector<Arrival> recorded = TraceGen::load_trace(tsv, 4);
   ASSERT_EQ(recorded.size(), 5u);
   EXPECT_EQ(recorded[2].epoch, 7);
   EXPECT_EQ(recorded[2].range.type, 0);
@@ -189,13 +191,29 @@ TEST(TraceGen, ReplayRoundTripsATsvTrace) {
 
 TEST(TraceGen, LoadTraceRejectsMalformedInput) {
   std::istringstream empty("");
-  EXPECT_THROW(TraceGen::load_trace(empty), std::runtime_error);
+  EXPECT_THROW(TraceGen::load_trace(empty, 4), std::runtime_error);
   std::istringstream junk("header\n1\t0\tnot-a-number\t5\n");
-  EXPECT_THROW(TraceGen::load_trace(junk), std::runtime_error);
+  EXPECT_THROW(TraceGen::load_trace(junk, 4), std::runtime_error);
   std::istringstream backwards("header\n9\t0\t1\t2\n3\t0\t1\t2\n");
-  EXPECT_THROW(TraceGen::load_trace(backwards), std::runtime_error);
+  EXPECT_THROW(TraceGen::load_trace(backwards, 4), std::runtime_error);
   std::istringstream inverted("header\n1\t0\t5\t2\n");
-  EXPECT_THROW(TraceGen::load_trace(inverted), std::runtime_error);
+  EXPECT_THROW(TraceGen::load_trace(inverted, 4), std::runtime_error);
+}
+
+TEST(TraceGen, LoadTraceRejectsTypesTheDeploymentLacks) {
+  for (const char* type : {"7", "-1", "4"}) {
+    std::istringstream tsv(std::string("header\n0\t0\t1\t2\n3\t") + type +
+                           "\t1\t2\n");
+    try {
+      (void)TraceGen::load_trace(tsv, 4);
+      ADD_FAILURE() << "type " << type << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::istringstream last("header\n0\t3\t1\t2\n");
+  EXPECT_EQ(TraceGen::load_trace(last, 4).size(), 1u);
 }
 
 }  // namespace

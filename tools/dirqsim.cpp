@@ -661,10 +661,6 @@ int run_serve(int argc, char** argv) {
       serve_usage(0);
     } else if (arg == "--rate") {
       cfg.trace.rate = parse_double("--rate", next, serve_usage);
-      if (!(cfg.trace.rate > 0.0)) {
-        std::cerr << "--rate must be > 0\n";
-        return 2;
-      }
       ++i;
     } else if (arg == "--duration") {
       cfg.duration_epochs =
