@@ -23,8 +23,6 @@
 //
 // Rows are emitted through the sweep result sinks; --json writes the
 // dirq.sweep.v1 document (whose metrics block carries mac_control_total).
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -45,18 +43,11 @@ int main(int argc, char** argv) {
       epochs = bench::parse_count("bench_lmac_overhead", "--epochs", next);
       ++i;
     } else if (arg == "--threads" && next != nullptr) {
-      thread_counts.clear();
-      std::string item;
-      for (const char* p = next;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          thread_counts.push_back(static_cast<unsigned>(bench::parse_count(
-              "bench_lmac_overhead", "--threads", item, /*min=*/0)));
-          item.clear();
-          if (*p == '\0') break;
-        } else {
-          item.push_back(*p);
-        }
-      }
+      thread_counts = bench::parse_list(
+          "bench_lmac_overhead", "--threads", next, [](const std::string& s) {
+            return static_cast<unsigned>(bench::parse_count(
+                "bench_lmac_overhead", "--threads", s, /*min=*/0));
+          });
       ++i;
     } else if (arg == "--json" && next != nullptr) {
       json_path = next;

@@ -16,7 +16,6 @@
 // are byte-identical across the axis, only run_seconds moves — the rows
 // feed tools/perf_smoke.sh's self-relative speedup guard).
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -29,31 +28,15 @@ namespace {
 using namespace dirq;
 using Clock = std::chrono::steady_clock;
 
-struct MsinkRow {
-  std::size_t nodes = 0;
-  std::int64_t epochs = 0;
-  std::size_t sinks = 1;
-  std::string routing;  // "admission", "roundrobin", or "-" for 1 sink
-  unsigned threads = 1;  // effective worker count (requested, resolved)
-  double run_seconds = 0.0;
-  double epochs_per_sec = 0.0;
-  std::int64_t queries = 0;
-  CostUnits dirq_total = 0;
-  CostUnits cross_tree_overhead = 0;
-  double energy_spread = 0.0;           // (max-min)/mean of sink totals
-  std::vector<CostUnits> sink_totals;   // per-sink ledger totals
-  std::vector<std::int64_t> sink_queries;
-};
+constexpr const char* kTool = "bench_multi_sink";
 
-MsinkRow run_cell(std::size_t nodes, std::int64_t epochs, std::size_t sinks,
-                  core::RoutingPolicy routing, unsigned threads) {
-  MsinkRow row;
-  row.nodes = nodes;
-  row.epochs = epochs;
-  row.sinks = sinks;
-  row.routing = sinks < 2 ? "-"
-                : routing == core::RoutingPolicy::RoundRobin ? "roundrobin"
-                                                             : "admission";
+bench::Row run_cell(std::size_t nodes, std::int64_t epochs, std::size_t sinks,
+                    core::RoutingPolicy routing, unsigned threads) {
+  // "-" for 1 sink: routing only matters with >= 2.
+  const char* routing_name =
+      sinks < 2 ? "-"
+      : routing == core::RoutingPolicy::RoundRobin ? "roundrobin"
+                                                   : "admission";
 
   core::ExperimentConfig cfg;
   cfg.seed = 42;
@@ -65,74 +48,44 @@ MsinkRow run_cell(std::size_t nodes, std::int64_t epochs, std::size_t sinks,
   cfg.sink_count = sinks;
   cfg.routing = routing;
   cfg.threads = threads;
-  row.threads = core::Experiment::effective_threads(cfg);
 
   const auto start = Clock::now();
   const core::ExperimentResults res = core::Experiment(cfg).run();
-  row.run_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  row.epochs_per_sec = row.run_seconds > 0.0
-                           ? static_cast<double>(epochs) / row.run_seconds
-                           : 0.0;
-  row.queries = res.queries;
-  row.dirq_total = res.ledger.total();
-  row.cross_tree_overhead = res.cross_tree_update_overhead;
-  row.energy_spread = res.sink_energy_spread();
+  const double run_seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  const unsigned effective = core::Experiment::effective_threads(cfg);
+  std::cerr << "  " << nodes << "n x " << sinks << " sink(s) ("
+            << routing_name << ") x " << effective << "t done ("
+            << metrics::fmt(run_seconds) << " s)\n";
+
+  std::vector<CostUnits> sink_totals;
   for (const core::CostLedger& led : res.sink_ledgers) {
-    row.sink_totals.push_back(led.total());
+    sink_totals.push_back(led.total());
   }
-  row.sink_queries = res.sink_queries;
+  bench::Row row;
+  row.add("nodes", nodes)
+      .add("epochs", epochs)
+      .add("sinks", sinks)
+      .add("routing", routing_name)
+      .add("threads", effective)
+      .add("run_seconds", run_seconds)
+      .add("epochs_per_sec",
+           run_seconds > 0.0 ? static_cast<double>(epochs) / run_seconds : 0.0)
+      .add("queries", res.queries)
+      .add("dirq_total", res.ledger.total())
+      .add("cross_tree_overhead", res.cross_tree_update_overhead)
+      // (max-min)/mean of the per-sink totals; 0 is perfectly balanced.
+      .add("energy_spread", res.sink_energy_spread())
+      .add("sink_totals", sink_totals)
+      .add("sink_queries", res.sink_queries);
   return row;
 }
 
-template <typename T>
-void write_array(std::ofstream& out, const std::vector<T>& xs) {
-  out << '[';
-  for (std::size_t i = 0; i < xs.size(); ++i) out << (i ? ", " : "") << xs[i];
-  out << ']';
-}
-
-void write_json(const std::string& path, const std::vector<MsinkRow>& rows) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench_multi_sink: cannot open " << path << "\n";
-    std::exit(1);
-  }
-  out << "{\n  \"schema\": \"dirq.msink.v1\",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const MsinkRow& r = rows[i];
-    out << "    {\"nodes\": " << r.nodes << ", \"epochs\": " << r.epochs
-        << ", \"sinks\": " << r.sinks << ", \"routing\": \"" << r.routing
-        << "\", \"threads\": " << r.threads
-        << ", \"run_seconds\": " << r.run_seconds
-        << ", \"epochs_per_sec\": " << r.epochs_per_sec
-        << ", \"queries\": " << r.queries
-        << ", \"dirq_total\": " << r.dirq_total
-        << ", \"cross_tree_overhead\": " << r.cross_tree_overhead
-        << ", \"energy_spread\": " << r.energy_spread
-        << ", \"sink_totals\": ";
-    write_array(out, r.sink_totals);
-    out << ", \"sink_queries\": ";
-    write_array(out, r.sink_queries);
-    out << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
-std::vector<std::size_t> parse_list(const char* flag, const char* value,
-                                    std::int64_t min) {
-  std::vector<std::size_t> out;
-  std::string item;
-  for (const char* p = value;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      out.push_back(static_cast<std::size_t>(
-          bench::parse_count("bench_multi_sink", flag, item, min)));
-      item.clear();
-      if (*p == '\0') break;
-    } else {
-      item.push_back(*p);
-    }
-  }
-  return out;
+std::vector<std::size_t> parse_counts(const char* flag, const char* value,
+                                      std::int64_t min) {
+  return bench::parse_list(kTool, flag, value, [&](const std::string& s) {
+    return static_cast<std::size_t>(bench::parse_count(kTool, flag, s, min));
+  });
 }
 
 }  // namespace
@@ -147,17 +100,17 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
     if (arg == "--nodes" && next != nullptr) {
-      node_counts = parse_list("--nodes", next, 1);
+      node_counts = parse_counts("--nodes", next, 1);
       ++i;
     } else if (arg == "--sinks" && next != nullptr) {
-      sink_counts = parse_list("--sinks", next, 1);
+      sink_counts = parse_counts("--sinks", next, 1);
       ++i;
     } else if (arg == "--threads" && next != nullptr) {
       // 0 is meaningful: all hardware threads (resolved into the row).
-      thread_counts = parse_list("--threads", next, 0);
+      thread_counts = parse_counts("--threads", next, 0);
       ++i;
     } else if (arg == "--epochs" && next != nullptr) {
-      epochs = bench::parse_count("bench_multi_sink", "--epochs", next);
+      epochs = bench::parse_count(kTool, "--epochs", next);
       ++i;
     } else if (arg == "--json" && next != nullptr) {
       json_path = next;
@@ -173,7 +126,7 @@ int main(int argc, char** argv) {
       "E10 — multi-sink query plane: admission vs round-robin",
       "ROADMAP 'Multi-sink query plane'; fixed theta=5%, spread roots");
 
-  std::vector<MsinkRow> rows;
+  std::vector<bench::Row> rows;
   for (std::size_t n : node_counts) {
     for (std::size_t s : sink_counts) {
       for (std::size_t th : thread_counts) {
@@ -181,44 +134,18 @@ int main(int argc, char** argv) {
         if (s < 2) {
           rows.push_back(
               run_cell(n, epochs, s, core::RoutingPolicy::Admission, threads));
-          std::cerr << "  " << n << "n x " << s << " sink x "
-                    << rows.back().threads << "t done ("
-                    << dirq::metrics::fmt(rows.back().run_seconds) << " s)\n";
           continue;
         }
         for (const core::RoutingPolicy policy :
              {core::RoutingPolicy::Admission,
               core::RoutingPolicy::RoundRobin}) {
           rows.push_back(run_cell(n, epochs, s, policy, threads));
-          std::cerr << "  " << n << "n x " << s << " sinks ("
-                    << rows.back().routing << ") x " << rows.back().threads
-                    << "t done ("
-                    << dirq::metrics::fmt(rows.back().run_seconds) << " s)\n";
         }
       }
     }
   }
 
-  dirq::metrics::TsvBlock tsv(
-      "multi-sink tier: overlay cost + energy balance",
-      {"nodes", "epochs", "sinks", "routing", "threads", "run_s",
-       "epochs_per_s", "queries", "dirq_total", "xtree_overhead",
-       "energy_spread"});
-  for (const MsinkRow& r : rows) {
-    tsv.add_row({std::to_string(r.nodes), std::to_string(r.epochs),
-                 std::to_string(r.sinks), r.routing,
-                 std::to_string(r.threads),
-                 dirq::metrics::fmt(r.run_seconds, 3),
-                 dirq::metrics::fmt(r.epochs_per_sec, 1),
-                 std::to_string(r.queries), std::to_string(r.dirq_total),
-                 std::to_string(r.cross_tree_overhead),
-                 dirq::metrics::fmt(r.energy_spread, 3)});
-  }
-  tsv.print(std::cout);
-
-  if (!json_path.empty()) {
-    write_json(json_path, rows);
-    std::cerr << "bench_multi_sink: wrote " << json_path << "\n";
-  }
+  bench::report(kTool, "multi-sink tier: overlay cost + energy balance",
+                "dirq.msink.v1", rows, json_path);
   return 0;
 }

@@ -16,11 +16,7 @@
 // as tools/record_baseline.sh does for the 500-node baseline). One extra row runs the 500-node cell with bursty
 // query arrivals (burst 200 epochs / gap 600) so the rate predictor's
 // behaviour under non-smooth load is part of the tracked surface.
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -35,23 +31,11 @@ namespace {
 using namespace dirq;
 using Clock = std::chrono::steady_clock;
 
+constexpr const char* kTool = "bench_scale_topology";
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
-
-struct ScaleRow {
-  std::size_t nodes = 0;
-  std::int64_t epochs = 0;
-  std::string workload;  // "smooth" or "burst L/G"
-  std::string field;     // environment backend: "pinned" or "fast"
-  unsigned threads = 1;  // intra-run workers (1 = sequential golden path)
-  double loss = 0.0;     // channel drop probability (0 = paper's lossless)
-  double build_seconds = 0.0;
-  double run_seconds = 0.0;
-  double epochs_per_sec = 0.0;
-  std::int64_t updates = 0;
-  long peak_rss_so_far_kib = 0;  // process high-water mark, monotone across rows
-};
 
 core::ExperimentConfig scale_config(std::size_t nodes, std::int64_t epochs) {
   core::ExperimentConfig cfg;
@@ -64,69 +48,55 @@ core::ExperimentConfig scale_config(std::size_t nodes, std::int64_t epochs) {
   return cfg;
 }
 
-ScaleRow run_cell(std::size_t nodes, std::int64_t epochs,
-                  std::int64_t burst_length, std::int64_t burst_gap,
-                  data::EnvironmentBackend field, unsigned threads,
-                  double loss) {
-  ScaleRow row;
-  row.nodes = nodes;
-  row.epochs = epochs;
-  row.loss = loss;
-  row.workload = burst_length > 0 ? "burst " + std::to_string(burst_length) +
-                                        "/" + std::to_string(burst_gap)
-                                  : "smooth";
-  row.field = data::backend_name(field);
-
+bench::Row run_cell(std::size_t nodes, std::int64_t epochs,
+                    std::int64_t burst_length, std::int64_t burst_gap,
+                    data::EnvironmentBackend field, unsigned threads,
+                    double loss) {
   core::ExperimentConfig cfg = scale_config(nodes, epochs);
   cfg.burst_length_epochs = burst_length;
   cfg.burst_gap_epochs = burst_gap;
   cfg.field_backend = field;
   cfg.threads = threads;
   cfg.loss_rate = loss;
-  row.threads = core::Experiment::effective_threads(cfg);
+  const std::string workload =
+      burst_length > 0 ? "burst " + std::to_string(burst_length) + "/" +
+                             std::to_string(burst_gap)
+                       : "smooth";
 
+  double build_seconds = 0.0;
   {
     // Topology construction cost in isolation (placement + link build).
     sim::Rng rng(cfg.seed);
     const auto start = Clock::now();
     const net::Topology topo = net::random_connected(cfg.placement, rng);
-    row.build_seconds = seconds_since(start);
+    build_seconds = seconds_since(start);
     (void)topo;
   }
 
   const auto start = Clock::now();
   const core::ExperimentResults res = core::Experiment(cfg).run();
-  row.run_seconds = seconds_since(start);
-  row.epochs_per_sec = row.run_seconds > 0.0
-                           ? static_cast<double>(epochs) / row.run_seconds
-                           : 0.0;
-  row.updates = res.updates_transmitted;
-  row.peak_rss_so_far_kib = sweep::peak_rss_kib();
-  return row;
-}
+  const double run_seconds = seconds_since(start);
+  const unsigned effective = core::Experiment::effective_threads(cfg);
+  std::cerr << "  " << nodes << " nodes (" << workload << ", "
+            << data::backend_name(field) << ", " << effective
+            << " thread(s), loss " << metrics::fmt(loss, 2) << ") done ("
+            << metrics::fmt(run_seconds) << " s)\n";
 
-void write_json(const std::string& path, const std::vector<ScaleRow>& rows) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench_scale_topology: cannot open " << path << "\n";
-    std::exit(1);
-  }
-  out << "{\n  \"schema\": \"dirq.scale.v1\",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ScaleRow& r = rows[i];
-    out << "    {\"nodes\": " << r.nodes << ", \"epochs\": " << r.epochs
-        << ", \"workload\": \"" << r.workload << "\""
-        << ", \"field\": \"" << r.field << "\""
-        << ", \"threads\": " << r.threads
-        << ", \"loss\": " << r.loss
-        << ", \"build_seconds\": " << r.build_seconds
-        << ", \"run_seconds\": " << r.run_seconds
-        << ", \"epochs_per_sec\": " << r.epochs_per_sec
-        << ", \"updates\": " << r.updates
-        << ", \"peak_rss_so_far_kib\": " << r.peak_rss_so_far_kib << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+  bench::Row row;
+  row.add("nodes", nodes)
+      .add("epochs", epochs)
+      .add("workload", workload)
+      .add("field", data::backend_name(field))
+      .add("threads", effective)
+      .add("loss", loss)
+      .add("build_seconds", build_seconds)
+      .add("run_seconds", run_seconds)
+      .add("epochs_per_sec",
+           run_seconds > 0.0 ? static_cast<double>(epochs) / run_seconds : 0.0)
+      .add("updates", res.updates_transmitted)
+      // Process high-water mark, monotone across rows.
+      .add("peak_rss_so_far_kib", sweep::peak_rss_kib());
+  return row;
 }
 
 }  // namespace
@@ -144,21 +114,14 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
     if (arg == "--nodes" && next != nullptr) {
-      node_counts.clear();
-      std::string item;
-      for (const char* p = next;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          node_counts.push_back(
-              static_cast<std::size_t>(bench::parse_count("bench_scale_topology", "--nodes", item)));
-          item.clear();
-          if (*p == '\0') break;
-        } else {
-          item.push_back(*p);
-        }
-      }
+      node_counts = bench::parse_list(
+          kTool, "--nodes", next, [](const std::string& s) {
+            return static_cast<std::size_t>(
+                bench::parse_count(kTool, "--nodes", s));
+          });
       ++i;
     } else if (arg == "--epochs" && next != nullptr) {
-      epochs = bench::parse_count("bench_scale_topology", "--epochs", next);
+      epochs = bench::parse_count(kTool, "--epochs", next);
       ++i;
     } else if (arg == "--json" && next != nullptr) {
       json_path = next;
@@ -173,7 +136,7 @@ int main(int argc, char** argv) {
         fields = {data::EnvironmentBackend::Pinned,
                   data::EnvironmentBackend::Fast};
       } else {
-        std::cerr << "bench_scale_topology: --field expects pinned, fast or"
+        std::cerr << kTool << ": --field expects pinned, fast or"
                      " both, got: '" << f << "'\n";
         return 2;
       }
@@ -181,43 +144,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads" && next != nullptr) {
       // List-valued like --nodes: each count is a full extra pass over the
       // grid (0 = all hardware threads; 1 = the sequential golden path).
-      thread_counts.clear();
-      std::string item;
-      for (const char* p = next;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          thread_counts.push_back(static_cast<unsigned>(bench::parse_count(
-              "bench_scale_topology", "--threads", item, /*min=*/0)));
-          item.clear();
-          if (*p == '\0') break;
-        } else {
-          item.push_back(*p);
-        }
-      }
+      thread_counts = bench::parse_list(
+          kTool, "--threads", next, [](const std::string& s) {
+            return static_cast<unsigned>(
+                bench::parse_count(kTool, "--threads", s, /*min=*/0));
+          });
       ++i;
     } else if (arg == "--loss" && next != nullptr) {
       // Channel drop probabilities, list-valued like --nodes. Each rate is
       // an extra pass over the grid; non-zero rates exercise the
       // counter-keyed loss channel on the parallel epoch engine, so the
       // lossy cells are the ones the lossy perf guard reads.
-      loss_rates.clear();
-      std::string item;
-      for (const char* p = next;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          char* end = nullptr;
-          const double rate = std::strtod(item.c_str(), &end);
-          if (item.empty() || end == nullptr || *end != '\0' ||
-              !(rate >= 0.0 && rate < 1.0)) {
-            std::cerr << "bench_scale_topology: --loss rates must be in"
-                         " [0, 1), got: '" << item << "'\n";
-            return 2;
-          }
-          loss_rates.push_back(rate);
-          item.clear();
-          if (*p == '\0') break;
-        } else {
-          item.push_back(*p);
-        }
-      }
+      loss_rates = bench::parse_list(
+          kTool, "--loss", next, [](const std::string& s) {
+            return bench::parse_real(
+                kTool, "--loss", s, "rates in [0, 1)",
+                [](double r) { return r >= 0.0 && r < 1.0; });
+          });
       ++i;
     } else if (arg == "--no-burst") {
       // Skip the bursty-arrival rows: the perf-smoke guards only read the
@@ -235,16 +178,12 @@ int main(int argc, char** argv) {
       "E9 — large-topology scaling: epoch throughput + peak RSS",
       "ROADMAP 'Larger topologies'; fixed theta=5%, scaled placement");
 
-  std::vector<ScaleRow> rows;
+  std::vector<bench::Row> rows;
   for (std::size_t n : node_counts) {
     for (data::EnvironmentBackend f : fields) {
       for (unsigned t : thread_counts) {
         for (double l : loss_rates) {
           rows.push_back(run_cell(n, epochs, 0, 0, f, t, l));
-          std::cerr << "  " << n << " nodes (" << data::backend_name(f) << ", "
-                    << rows.back().threads << " thread(s), loss "
-                    << dirq::metrics::fmt(l, 2) << ") done ("
-                    << dirq::metrics::fmt(rows.back().run_seconds) << " s)\n";
         }
       }
     }
@@ -255,29 +194,10 @@ int main(int argc, char** argv) {
   if (burst_rows) {
     for (data::EnvironmentBackend f : fields) {
       rows.push_back(run_cell(500, epochs, 200, 600, f, 1, 0.0));
-      std::cerr << "  500-node burst row (" << data::backend_name(f)
-                << ") done\n";
     }
   }
 
-  dirq::metrics::TsvBlock tsv(
-      "scale tier: epoch throughput",
-      {"nodes", "epochs", "workload", "field", "threads", "loss", "build_s",
-       "run_s", "epochs_per_s", "updates", "peak_rss_so_far_kib"});
-  for (const ScaleRow& r : rows) {
-    tsv.add_row({std::to_string(r.nodes), std::to_string(r.epochs), r.workload,
-                 r.field, std::to_string(r.threads),
-                 dirq::metrics::fmt(r.loss, 2),
-                 dirq::metrics::fmt(r.build_seconds, 3),
-                 dirq::metrics::fmt(r.run_seconds, 3),
-                 dirq::metrics::fmt(r.epochs_per_sec, 1),
-                 std::to_string(r.updates), std::to_string(r.peak_rss_so_far_kib)});
-  }
-  tsv.print(std::cout);
-
-  if (!json_path.empty()) {
-    write_json(json_path, rows);
-    std::cerr << "bench_scale_topology: wrote " << json_path << "\n";
-  }
+  bench::report(kTool, "scale tier: epoch throughput", "dirq.scale.v1", rows,
+                json_path);
   return 0;
 }

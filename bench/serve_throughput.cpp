@@ -15,7 +15,6 @@
 // qps from the identical arrival stream — tools/perf_smoke.sh asserts the
 // strict version of that self-relative invariant.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -29,36 +28,10 @@ namespace {
 using namespace dirq;
 using Clock = std::chrono::steady_clock;
 
-struct ServeRow {
-  std::size_t nodes = 0;
-  std::int64_t duration = 0;
-  double rate = 0.0;
-  std::size_t sinks = 1;
-  bool cache = false;
-  double run_seconds = 0.0;
-  double epochs_per_sec = 0.0;
-  std::int64_t arrived = 0;
-  std::int64_t answered = 0;
-  std::int64_t injected = 0;
-  std::int64_t cache_answered = 0;
-  std::int64_t shed = 0;
-  double qps = 0.0;
-  double hit_rate = 0.0;  // cache hits / lookups, 0 when cache off
-  std::int64_t p50 = 0;
-  std::int64_t p99 = 0;
-  std::int64_t updates = 0;
-  CostUnits energy = 0;
-};
+constexpr const char* kTool = "bench_serve_throughput";
 
-ServeRow run_cell(std::size_t nodes, std::int64_t duration, double rate,
-                  std::size_t sinks, bool cache) {
-  ServeRow row;
-  row.nodes = nodes;
-  row.duration = duration;
-  row.rate = rate;
-  row.sinks = sinks;
-  row.cache = cache;
-
+bench::Row run_cell(std::size_t nodes, std::int64_t duration, double rate,
+                    std::size_t sinks, bool cache) {
   serve::ServeConfig cfg;
   cfg.exp.seed = 42;
   cfg.exp.placement = net::scaled_placement(nodes);
@@ -73,89 +46,38 @@ ServeRow run_cell(std::size_t nodes, std::int64_t duration, double rate,
 
   const auto start = Clock::now();
   const serve::ServeResults res = serve::Server(cfg).run();
-  row.run_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  row.epochs_per_sec = row.run_seconds > 0.0
-                           ? static_cast<double>(duration) / row.run_seconds
-                           : 0.0;
-  row.arrived = res.totals.arrived;
-  row.answered = res.totals.answered;
-  row.injected = res.totals.injected;
-  row.cache_answered = res.totals.cache_answered;
-  row.shed = res.totals.shed;
-  row.qps = res.qps();
-  row.hit_rate = res.cache.lookups() > 0
-                     ? static_cast<double>(res.cache.hits()) /
-                           static_cast<double>(res.cache.lookups())
-                     : 0.0;
-  row.p50 = res.latency.quantile(0.5);
-  row.p99 = res.latency.quantile(0.99);
-  row.updates = res.updates_transmitted;
-  row.energy = res.energy_total;
+  const double run_seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  std::cerr << "  rate " << rate << " x " << sinks << " sink(s), cache "
+            << (cache ? "on" : "off") << ": qps " << metrics::fmt(res.qps())
+            << " (" << metrics::fmt(run_seconds) << " s)\n";
+
+  bench::Row row;
+  row.add("nodes", nodes)
+      .add("duration", duration)
+      .add("rate", rate)
+      .add("sinks", sinks)
+      .add("cache", cache)
+      .add("run_seconds", run_seconds)
+      .add("epochs_per_sec",
+           run_seconds > 0.0 ? static_cast<double>(duration) / run_seconds
+                             : 0.0)
+      .add("arrived", res.totals.arrived)
+      .add("answered", res.totals.answered)
+      .add("injected", res.totals.injected)
+      .add("cache_answered", res.totals.cache_answered)
+      .add("shed", res.totals.shed)
+      .add("qps", res.qps())
+      // Cache hits / lookups; 0 when the cache is off.
+      .add("hit_rate", res.cache.lookups() > 0
+                           ? static_cast<double>(res.cache.hits()) /
+                                 static_cast<double>(res.cache.lookups())
+                           : 0.0)
+      .add("p50", res.latency.quantile(0.5))
+      .add("p99", res.latency.quantile(0.99))
+      .add("updates", res.updates_transmitted)
+      .add("energy", res.energy_total);
   return row;
-}
-
-void write_json(const std::string& path, const std::vector<ServeRow>& rows) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "bench_serve_throughput: cannot open " << path << "\n";
-    std::exit(1);
-  }
-  out << "{\n  \"schema\": \"dirq.serve_bench.v1\",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ServeRow& r = rows[i];
-    out << "    {\"nodes\": " << r.nodes << ", \"duration\": " << r.duration
-        << ", \"rate\": " << r.rate << ", \"sinks\": " << r.sinks
-        << ", \"cache\": " << (r.cache ? "true" : "false")
-        << ", \"run_seconds\": " << r.run_seconds
-        << ", \"epochs_per_sec\": " << r.epochs_per_sec
-        << ", \"arrived\": " << r.arrived << ", \"answered\": " << r.answered
-        << ", \"injected\": " << r.injected
-        << ", \"cache_answered\": " << r.cache_answered
-        << ", \"shed\": " << r.shed << ", \"qps\": " << r.qps
-        << ", \"hit_rate\": " << r.hit_rate << ", \"p50\": " << r.p50
-        << ", \"p99\": " << r.p99 << ", \"updates\": " << r.updates
-        << ", \"energy\": " << r.energy << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
-std::vector<double> parse_rate_list(const char* value) {
-  std::vector<double> out;
-  std::string item;
-  for (const char* p = value;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      char* end = nullptr;
-      const double v = std::strtod(item.c_str(), &end);
-      if (end == item.c_str() || *end != '\0' || !(v > 0.0)) {
-        std::cerr << "bench_serve_throughput: --rates expects positive"
-                     " numbers, got: '" << item << "'\n";
-        std::exit(2);
-      }
-      out.push_back(v);
-      item.clear();
-      if (*p == '\0') break;
-    } else {
-      item.push_back(*p);
-    }
-  }
-  return out;
-}
-
-std::vector<std::size_t> parse_count_list(const char* flag, const char* value) {
-  std::vector<std::size_t> out;
-  std::string item;
-  for (const char* p = value;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      out.push_back(static_cast<std::size_t>(
-          bench::parse_count("bench_serve_throughput", flag, item, 1)));
-      item.clear();
-      if (*p == '\0') break;
-    } else {
-      item.push_back(*p);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -171,17 +93,24 @@ int main(int argc, char** argv) {
     const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
     if (arg == "--nodes" && next != nullptr) {
       nodes = static_cast<std::size_t>(
-          bench::parse_count("bench_serve_throughput", "--nodes", next));
+          bench::parse_count(kTool, "--nodes", next));
       ++i;
     } else if (arg == "--rates" && next != nullptr) {
-      rates = parse_rate_list(next);
+      rates = bench::parse_list(
+          kTool, "--rates", next, [](const std::string& s) {
+            return bench::parse_real(kTool, "--rates", s, "positive numbers",
+                                     [](double r) { return r > 0.0; });
+          });
       ++i;
     } else if (arg == "--sinks" && next != nullptr) {
-      sink_counts = parse_count_list("--sinks", next);
+      sink_counts = bench::parse_list(
+          kTool, "--sinks", next, [](const std::string& s) {
+            return static_cast<std::size_t>(
+                bench::parse_count(kTool, "--sinks", s));
+          });
       ++i;
     } else if (arg == "--duration" && next != nullptr) {
-      duration =
-          bench::parse_count("bench_serve_throughput", "--duration", next);
+      duration = bench::parse_count(kTool, "--duration", next);
       ++i;
     } else if (arg == "--json" && next != nullptr) {
       json_path = next;
@@ -197,38 +126,16 @@ int main(int argc, char** argv) {
       "E11 — serve-plane throughput: rate x sinks x cache",
       "ROADMAP 'Service mode'; fast field, fixed theta=5%, Poisson arrivals");
 
-  std::vector<ServeRow> rows;
+  std::vector<bench::Row> rows;
   for (double rate : rates) {
     for (std::size_t s : sink_counts) {
       for (bool cache : {false, true}) {
         rows.push_back(run_cell(nodes, duration, rate, s, cache));
-        std::cerr << "  rate " << rate << " x " << s << " sink(s), cache "
-                  << (cache ? "on" : "off") << ": qps "
-                  << dirq::metrics::fmt(rows.back().qps) << " ("
-                  << dirq::metrics::fmt(rows.back().run_seconds) << " s)\n";
       }
     }
   }
 
-  dirq::metrics::TsvBlock tsv(
-      "serve tier: sustained qps + tail latency",
-      {"nodes", "duration", "rate", "sinks", "cache", "run_s", "qps",
-       "answered", "shed", "hit_rate", "p50", "p99", "updates"});
-  for (const ServeRow& r : rows) {
-    tsv.add_row({std::to_string(r.nodes), std::to_string(r.duration),
-                 dirq::metrics::fmt(r.rate, 1), std::to_string(r.sinks),
-                 r.cache ? "on" : "off",
-                 dirq::metrics::fmt(r.run_seconds, 3),
-                 dirq::metrics::fmt(r.qps, 3), std::to_string(r.answered),
-                 std::to_string(r.shed), dirq::metrics::fmt(r.hit_rate, 3),
-                 std::to_string(r.p50), std::to_string(r.p99),
-                 std::to_string(r.updates)});
-  }
-  tsv.print(std::cout);
-
-  if (!json_path.empty()) {
-    write_json(json_path, rows);
-    std::cerr << "bench_serve_throughput: wrote " << json_path << "\n";
-  }
+  bench::report(kTool, "serve tier: sustained qps + tail latency",
+                "dirq.serve_bench.v1", rows, json_path);
   return 0;
 }

@@ -535,10 +535,6 @@ void DirqNetwork::commit_epoch(std::int64_t epoch) {
   }
 }
 
-std::int64_t DirqNetwork::internal_node_count() const {
-  return static_cast<std::int64_t>(trees_.tree(0).internal_node_count());
-}
-
 double DirqNetwork::mean_theta_pct(SensorType type) const {
   double sum = 0.0;
   std::size_t n = 0;

@@ -244,20 +244,12 @@ class DirqNetwork final : public MessageSink {
   /// cached (alive-only) BFS order.
   [[nodiscard]] double mean_theta_pct(SensorType type) const;
 
-  /// The per-node sampling gate (tests and diagnostics).
-  [[nodiscard]] const SamplingController& sampler(NodeId id) const {
-    return samplers_.at(id);
-  }
-
   /// Per-node radio energy (tx + rx units attributed to each node, booked
   /// with the ledgers, so they sum to costs()). The network's lifetime is
   /// governed by its hottest node, so the *distribution* matters as much
   /// as the total (bench/energy_hotspots).
   [[nodiscard]] CostUnits node_tx(NodeId id) const { return node_tx_.at(id); }
   [[nodiscard]] CostUnits node_rx(NodeId id) const { return node_rx_.at(id); }
-  [[nodiscard]] CostUnits node_energy(NodeId id) const {
-    return node_tx_.at(id) + node_rx_.at(id);
-  }
 
   /// Hook invoked once per Update Message transmission with the epoch —
   /// the driver records the Fig. 6 time series through this.
@@ -296,7 +288,6 @@ class DirqNetwork final : public MessageSink {
   /// `to`. Each writes one tree-ledger cell and one per-node counter.
   void book_tx(NodeId from, const Message& msg);
   void book_rx(NodeId to, const Message& msg);
-  [[nodiscard]] std::int64_t internal_node_count() const;
 
   // The epoch engine (network.cpp): plan and own-tuple plane, phase A on
   // one chunk of the walk, phase B over the recorded crossings.

@@ -80,24 +80,6 @@ std::vector<NodeId> SpanningTree::path_from_root(NodeId id) const {
   return path;
 }
 
-std::vector<std::vector<NodeId>> SpanningTree::subtree_partition() const {
-  std::vector<std::vector<NodeId>> out;
-  if (member_count_ == 0) return out;
-  const std::span<const NodeId> top = children(root_);
-  out.resize(top.size());
-  // shard index per member; the root itself and non-members stay unmapped.
-  std::vector<std::size_t> shard_of(depth_.size(), top.size());
-  for (std::size_t i = 0; i < top.size(); ++i) shard_of[top[i]] = i;
-  for (NodeId u : order_) {
-    if (u == root_) continue;
-    const std::size_t s =
-        parent_[u] == root_ ? shard_of[u] : shard_of[parent_[u]];
-    shard_of[u] = s;
-    out[s].push_back(u);
-  }
-  return out;
-}
-
 std::vector<NodeId> SpanningTree::subtree(NodeId id) const {
   std::vector<NodeId> out;
   if (!in_tree(id)) return out;

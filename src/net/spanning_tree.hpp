@@ -89,16 +89,6 @@ class SpanningTree {
   /// Members of the subtree rooted at `id` (including `id`).
   [[nodiscard]] std::vector<NodeId> subtree(NodeId id) const;
 
-  /// Partition of the non-root members into per-root-child subtrees:
-  /// result[i] holds every member of the subtree rooted at the i-th root
-  /// child (children(root) order), each list in the cached BFS order's
-  /// relative order — so reversing a list walks that subtree leaves-first
-  /// exactly as the reversed global order does. The subtrees are disjoint
-  /// and their union plus the root is the member set; all DirQ update
-  /// traffic is up-tree unicast, so each list is an independently
-  /// processable region whose only external edge points at the root.
-  [[nodiscard]] std::vector<std::vector<NodeId>> subtree_partition() const;
-
  private:
   NodeId root_ = kNoNode;
   std::vector<NodeId> parent_;

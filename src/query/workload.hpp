@@ -71,9 +71,6 @@ class WorkloadGenerator {
   /// around it, so the query always has at least one source.
   MultiQuery next_multi(std::int64_t epoch, std::size_t attribute_count);
 
-  /// Re-targets subsequent queries (used by sweeps).
-  void set_target(double fraction) { cfg_.target_involved_fraction = fraction; }
-
   [[nodiscard]] const WorkloadConfig& config() const noexcept { return cfg_; }
 
  private:

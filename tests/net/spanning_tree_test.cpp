@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "net/placement.hpp"
 #include "sim/rng.hpp"
 
@@ -123,54 +121,6 @@ TEST(SpanningTree, LeavesOfChain) {
   Topology t(line_nodes(4), 1.1);
   SpanningTree tree(t, 0);
   EXPECT_EQ(tree.leaves(), (std::vector<NodeId>{3}));
-}
-
-TEST(SpanningTree, SubtreePartitionMatchesPerChildSubtrees) {
-  Topology t = knary_tree(3, 2);  // 13 nodes, 3 root children
-  SpanningTree tree(t, 0);
-  const auto parts = tree.subtree_partition();
-  const auto kids = tree.children(0);
-  ASSERT_EQ(parts.size(), kids.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    std::set<NodeId> part(parts[i].begin(), parts[i].end());
-    const auto sub = tree.subtree(kids[i]);
-    EXPECT_EQ(part, std::set<NodeId>(sub.begin(), sub.end()));
-  }
-}
-
-TEST(SpanningTree, SubtreePartitionListsFollowBfsOrder) {
-  sim::Rng rng(23);
-  RandomPlacementConfig cfg;
-  Topology t = random_connected(cfg, rng);
-  SpanningTree tree(t, 0);
-  const auto parts = tree.subtree_partition();
-
-  // Each list is a subsequence of the cached BFS order (reversing a list
-  // therefore walks that subtree leaves-first, like the global walk).
-  std::vector<std::size_t> pos(t.size());
-  const auto& order = tree.bfs_order();
-  for (std::size_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
-  std::set<NodeId> seen;
-  for (const auto& part : parts) {
-    for (std::size_t j = 1; j < part.size(); ++j) {
-      EXPECT_LT(pos[part[j - 1]], pos[part[j]]);
-    }
-    for (NodeId u : part) EXPECT_TRUE(seen.insert(u).second);  // disjoint
-  }
-  // Union plus the root is exactly the member set.
-  EXPECT_EQ(seen.size() + 1, tree.size());
-  EXPECT_FALSE(seen.count(0));
-  for (NodeId u : order) {
-    if (u != 0) {
-      EXPECT_TRUE(seen.count(u));
-    }
-  }
-}
-
-TEST(SpanningTree, SubtreePartitionOfLoneRootIsEmpty) {
-  Topology t(line_nodes(1), 1.1);
-  SpanningTree tree(t, 0);
-  EXPECT_TRUE(tree.subtree_partition().empty());
 }
 
 TEST(SpanningTree, MaxBranchingOnRandomTopologyWithinBound) {

@@ -87,19 +87,22 @@ namespace {
 
 using UsageFn = void (*)(int);
 
+/// Strict real parse: the whole token must be a number. Trailing junk
+/// ("0.1abc") and overflow are errors, never silently dropped.
 double parse_double(const char* flag, const char* value,
                     UsageFn on_error = usage) {
   if (value == nullptr) {
     std::cerr << "missing value for " << flag << "\n";
     on_error(2);
   }
-  try {
-    return std::stod(value);
-  } catch (const std::exception&) {
-    std::cerr << "bad value for " << flag << ": " << value << "\n";
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(value, &end);
+  if (end == value || *end != '\0' || errno == ERANGE) {
+    std::cerr << flag << " expects a number, got: " << value << "\n";
     on_error(2);
   }
-  return 0.0;  // unreachable
+  return v;
 }
 
 /// Strict integer parse: the whole token must be a base-10 integer.
@@ -351,17 +354,6 @@ std::vector<std::string> split_list(const char* flag, const char* value) {
   return out;
 }
 
-double parse_list_double(const char* flag, const std::string& item) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(item.c_str(), &end);
-  if (end == item.c_str() || *end != '\0' || errno == ERANGE) {
-    std::cerr << flag << " expects numbers, got: " << item << "\n";
-    sweep_usage(2);
-  }
-  return v;
-}
-
 int run_sweep(int argc, char** argv) {
   using namespace dirq;
 
@@ -395,7 +387,8 @@ int run_sweep(int argc, char** argv) {
     } else if (arg == "--relevant") {
       relevant_list.clear();
       for (const std::string& s : split_list("--relevant", next)) {
-        relevant_list.push_back(parse_list_double("--relevant", s));
+        relevant_list.push_back(
+            parse_double("--relevant", s.c_str(), sweep_usage));
       }
       ++i;
     } else if (arg == "--seeds") {
@@ -407,7 +400,7 @@ int run_sweep(int argc, char** argv) {
     } else if (arg == "--loss") {
       loss_list.clear();
       for (const std::string& s : split_list("--loss", next)) {
-        loss_list.push_back(parse_list_double("--loss", s));
+        loss_list.push_back(parse_double("--loss", s.c_str(), sweep_usage));
       }
       ++i;
     } else if (arg == "--mac") {
@@ -487,7 +480,8 @@ int run_sweep(int argc, char** argv) {
       if (t == "atc" || t == "ATC") {
         thetas.push_back(sweep::atc());
       } else {
-        thetas.push_back(sweep::fixed_theta(parse_list_double("--theta", t)));
+        thetas.push_back(sweep::fixed_theta(
+            parse_double("--theta", t.c_str(), sweep_usage)));
       }
     }
     plan.axis(sweep::theta_axis(std::move(thetas)));

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Perf smoke for CI: runs the guarded scale cells through
-# bench_scale_topology and fails when wall-clock regresses more than 2x
-# against the checked-in baselines:
+# Perf smoke for CI: runs the guarded bench cells and fails when a guard
+# fails — a scale cell's wall-clock regresses more than 2x against the
+# checked-in baselines, or a self-relative invariant breaks:
 #
 #   * pinned 500n/2000e  vs bench/baselines/scale_500n_2000e.json
 #   * fast   500n/2000e  vs bench/baselines/scale_500n_fast.json
@@ -48,6 +48,12 @@
 # index build could not place 500 nodes at all, and an accidental O(n^2)
 # or sequential-RNG reintroduction shows up as >2x long before it reaches
 # paper-figure runs).
+#
+# Every guard runs and prints its verdict (OK, FAIL or SKIP), even after an
+# earlier guard failed; the script exits 1 at the end if any guard failed.
+# A value missing from a bench document counts as a failed guard. Values are
+# read from the bench JSON documents with one extractor, `field`, which
+# relies on their one-row-per-line layout (bench/bench_util.hpp).
 set -eu
 
 BUILD_DIR=${1:-build}
@@ -56,43 +62,71 @@ FAST_BASELINE=bench/baselines/scale_500n_fast.json
 MT_BASELINE=bench/baselines/scale_2000n_fast_mt.json
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
+CORES=$(nproc 2>/dev/null || echo 1)
+FAILED=0
 
-# extract_run_seconds FILE NODES FIELD — first smooth row of a
-# dirq.scale.v1 document matching the node count and backend.
-extract_run_seconds() {
-  grep '"run_seconds"' "$1" | grep "\"nodes\": $2," |
-    grep "\"field\": \"$3\"" | grep '"workload": "smooth"' | head -n 1 |
-    sed 's/.*"run_seconds": \([0-9.eE+-]*\),.*/\1/'
+# field FILE KEY FILTER... — KEY's value in the first row of a bench JSON
+# document matching every FILTER. A filter is KEY=VALUE, or KEY!=VALUE for
+# rows whose KEY differs; string values compare without their quotes.
+field() {
+  awk '
+    function value(row, k,   at, v) {
+      at = index(row, "\"" k "\": ")
+      if (at == 0) return "\001"
+      v = substr(row, at + length(k) + 4)
+      if (substr(v, 1, 1) == "\"") { v = substr(v, 2); sub(/".*/, "", v) }
+      else sub(/[,}].*/, "", v)
+      return v
+    }
+    BEGIN {
+      key = ARGV[2]
+      for (i = 3; i < ARGC; ++i) { filter[i - 2] = ARGV[i]; delete ARGV[i] }
+      n = ARGC - 3
+      delete ARGV[2]
+    }
+    {
+      for (i = 1; i <= n; ++i) {
+        f = filter[i]
+        neg = index(f, "!=") > 0
+        split(f, kv, neg ? "!=" : "=")
+        if ((value($0, kv[1]) == kv[2]) == neg) next
+      }
+      v = value($0, key)
+      if (v != "\001") { print v; exit }
+    }' "$@"
 }
 
-# run_cells NODES FIELD — one bench invocation, smooth cells only (the
-# burst rows are part of the tracked surface but not of this guard, so CI
-# does not pay for rows it ignores).
+# guard LABEL VALUE OP BOUND [FACTOR] — passes when VALUE OP FACTOR*BOUND
+# (OP is <, <= or >; FACTOR defaults to 1). Prints the verdict; a failure,
+# or a missing value, is counted in FAILED.
+guard() {
+  if [ -z "$2" ] || [ -z "$4" ]; then
+    echo "perf_smoke: FAIL — $1: could not extract (value='$2' bound='$4')"
+    FAILED=$((FAILED + 1))
+    return
+  fi
+  if awk -v label="$1" -v v="$2" -v op="$3" -v b="$4" -v k="${5:-1}" 'BEGIN {
+    ok = op == "<" ? v < k * b : op == "<=" ? v <= k * b : v > k * b
+    printf "perf_smoke: %s %s: %s %s %s x %s (ratio %.2f)\n",
+      ok ? "OK" : "FAIL", label, v, op, k, b, b ? v / b : 0
+    exit !ok
+  }'; then :; else FAILED=$((FAILED + 1)); fi
+}
+
+# run_cells NODES FIELD [THREADS] — one bench_scale_topology run, smooth
+# cells only (the burst rows are part of the tracked surface but not of
+# this guard, so CI does not pay for rows it ignores).
 run_cells() {
   "$BUILD_DIR/bench/bench_scale_topology" --nodes "$1" --epochs 2000 \
     --field "$2" --no-burst --threads "${3:-1}" --json "$OUT" >/dev/null
 }
 
-# check BASELINE NODES FIELD — compare a cell of the last run_cells output.
+# check BASELINE NODES FIELD — a smooth cell of the last run_cells output
+# against the same cell of BASELINE, 2x budget.
 check() {
-  baseline_file=$1
-  nodes=$2
-  field=$3
-  base=$(extract_run_seconds "$baseline_file" "$nodes" "$field")
-  now=$(extract_run_seconds "$OUT" "$nodes" "$field")
-  if [ -z "$base" ] || [ -z "$now" ]; then
-    echo "perf_smoke: could not extract run_seconds for ${nodes}n/$field" \
-         "(baseline='$base' now='$now')" >&2
-    exit 2
-  fi
-  echo "perf_smoke: ${nodes}n/2000e/$field run_seconds now=$now baseline=$base (budget 2x)"
-  awk -v now="$now" -v base="$base" -v label="${nodes}n/$field" 'BEGIN {
-    if (now > 2.0 * base) {
-      printf "perf_smoke: FAIL — %s: %.3fs exceeds 2x baseline %.3fs\n", label, now, base
-      exit 1
-    }
-    printf "perf_smoke: OK %s (%.2fx of baseline)\n", label, now / base
-  }'
+  guard "${2}n/2000e/$3 run_seconds vs baseline" \
+    "$(field "$OUT" run_seconds nodes="$2" field="$3" workload=smooth)" "<=" \
+    "$(field "$1" run_seconds nodes="$2" field="$3" workload=smooth)" 2
 }
 
 run_cells 500 pinned
@@ -111,84 +145,34 @@ check "$MT_BASELINE" 2000 fast
 # vs all cores, from one bench run (self-relative, machine speed divides
 # out). The "threads" key records the EFFECTIVE count, so the parallel row
 # is "the lossy row whose threads != 1".
-if [ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]; then
+if [ "$CORES" -gt 1 ]; then
   "$BUILD_DIR/bench/bench_scale_topology" --nodes 500 --epochs 2000 \
     --field fast --loss 0.15 --threads 1,0 --no-burst --json "$OUT" \
     >/dev/null
-  seq_s=$(grep '"run_seconds"' "$OUT" | grep '"loss": 0.15' |
-    grep '"threads": 1,' | head -n 1 |
-    sed 's/.*"run_seconds": \([0-9.eE+-]*\),.*/\1/')
-  par_s=$(grep '"run_seconds"' "$OUT" | grep '"loss": 0.15' |
-    grep -v '"threads": 1,' | head -n 1 |
-    sed 's/.*"run_seconds": \([0-9.eE+-]*\),.*/\1/')
-  if [ -z "$seq_s" ] || [ -z "$par_s" ]; then
-    echo "perf_smoke: could not extract lossy run_seconds" \
-         "(threads-1='$seq_s' threads-N='$par_s')" >&2
-    exit 2
-  fi
-  echo "perf_smoke: 500n/2000e lossy run_seconds threads-1=$seq_s threads-N=$par_s (parallel must win)"
-  awk -v seq="$seq_s" -v par="$par_s" 'BEGIN {
-    if (par >= seq) {
-      printf "perf_smoke: FAIL — lossy parallel %.3fs not faster than sequential %.3fs\n", par, seq
-      exit 1
-    }
-    printf "perf_smoke: OK lossy parallel (%.2fx speedup)\n", seq / par
-  }'
+  guard "500n/2000e lossy run_seconds, threads-N vs threads-1" \
+    "$(field "$OUT" run_seconds loss=0.15 threads!=1)" "<" \
+    "$(field "$OUT" run_seconds loss=0.15 threads=1)"
 else
   echo "perf_smoke: SKIP lossy parallel guard (single-core host)"
 fi
 
 # Multi-sink guard cell: one bench run covering the 1-sink and 4-sink
 # cells, compared against each other (dirq.msink.v1 rows).
-extract_msink_seconds() {
-  grep '"run_seconds"' "$1" | grep "\"sinks\": $2," |
-    grep "\"routing\": \"$3\"" | head -n 1 |
-    sed 's/.*"run_seconds": \([0-9.eE+-]*\),.*/\1/'
-}
-
 "$BUILD_DIR/bench/bench_multi_sink" --nodes 500 --sinks 1,4 --epochs 2000 \
   --json "$OUT" >/dev/null
-one=$(extract_msink_seconds "$OUT" 1 "-")
-four=$(extract_msink_seconds "$OUT" 4 "admission")
-if [ -z "$one" ] || [ -z "$four" ]; then
-  echo "perf_smoke: could not extract multi-sink run_seconds" \
-       "(1-sink='$one' 4-sink='$four')" >&2
-  exit 2
-fi
-echo "perf_smoke: 500n/2000e multi-sink run_seconds 1-sink=$one 4-sink=$four (budget 3x)"
-awk -v one="$one" -v four="$four" 'BEGIN {
-  if (four > 3.0 * one) {
-    printf "perf_smoke: FAIL — 4-sink: %.3fs exceeds 3x 1-sink %.3fs\n", four, one
-    exit 1
-  }
-  printf "perf_smoke: OK multi-sink (%.2fx of 1-sink)\n", four / one
-}'
+guard "500n/2000e multi-sink run_seconds, 4-sink vs 1-sink" \
+  "$(field "$OUT" run_seconds sinks=4 routing=admission)" "<=" \
+  "$(field "$OUT" run_seconds sinks=1 routing=-)" 3
 
 # Parallel multi-sink guard cell: the 4-sink admission cell at 1 worker vs
 # all cores, from one bench run. The "threads" key records the EFFECTIVE
 # count, so the parallel row is "the admission row whose threads != 1".
-if [ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]; then
+if [ "$CORES" -gt 1 ]; then
   "$BUILD_DIR/bench/bench_multi_sink" --nodes 500 --sinks 4 --epochs 2000 \
     --threads 1,0 --json "$OUT" >/dev/null
-  seq_s=$(grep '"run_seconds"' "$OUT" | grep '"routing": "admission"' |
-    grep '"threads": 1,' | head -n 1 |
-    sed 's/.*"run_seconds": \([0-9.eE+-]*\),.*/\1/')
-  par_s=$(grep '"run_seconds"' "$OUT" | grep '"routing": "admission"' |
-    grep -v '"threads": 1,' | head -n 1 |
-    sed 's/.*"run_seconds": \([0-9.eE+-]*\),.*/\1/')
-  if [ -z "$seq_s" ] || [ -z "$par_s" ]; then
-    echo "perf_smoke: could not extract parallel multi-sink run_seconds" \
-         "(threads-1='$seq_s' threads-N='$par_s')" >&2
-    exit 2
-  fi
-  echo "perf_smoke: 500n/2000e 4-sink run_seconds threads-1=$seq_s threads-N=$par_s (parallel must win)"
-  awk -v seq="$seq_s" -v par="$par_s" 'BEGIN {
-    if (par >= seq) {
-      printf "perf_smoke: FAIL — 4-sink parallel %.3fs not faster than sequential %.3fs\n", par, seq
-      exit 1
-    }
-    printf "perf_smoke: OK parallel multi-sink (%.2fx speedup)\n", seq / par
-  }'
+  guard "500n/2000e 4-sink run_seconds, threads-N vs threads-1" \
+    "$(field "$OUT" run_seconds routing=admission threads!=1)" "<" \
+    "$(field "$OUT" run_seconds routing=admission threads=1)"
 else
   echo "perf_smoke: SKIP parallel multi-sink guard (single-core host)"
 fi
@@ -196,25 +180,13 @@ fi
 # Serve guard cell: one bench run covering the cache-off and cache-on
 # cells at rate 20 / 1 sink (dirq.serve_bench.v1 rows); the invariant is
 # on the virtual clock, so it is exact, not a wall budget.
-extract_serve_qps() {
-  grep '"qps"' "$1" | grep "\"cache\": $2" | head -n 1 |
-    sed 's/.*"qps": \([0-9.eE+-]*\),.*/\1/'
-}
-
 "$BUILD_DIR/bench/bench_serve_throughput" --nodes 500 --rates 20 --sinks 1 \
   --duration 2000 --json "$OUT" >/dev/null
-off=$(extract_serve_qps "$OUT" false)
-on=$(extract_serve_qps "$OUT" true)
-if [ -z "$off" ] || [ -z "$on" ]; then
-  echo "perf_smoke: could not extract serve qps" \
-       "(cache-off='$off' cache-on='$on')" >&2
-  exit 2
+guard "500n/2000e serve qps, cache-on vs cache-off" \
+  "$(field "$OUT" qps cache=true)" ">" "$(field "$OUT" qps cache=false)"
+
+if [ "$FAILED" -gt 0 ]; then
+  echo "perf_smoke: $FAILED guard(s) failed"
+  exit 1
 fi
-echo "perf_smoke: 500n/2000e serve qps cache-off=$off cache-on=$on (must be strictly higher)"
-awk -v off="$off" -v on="$on" 'BEGIN {
-  if (on <= off) {
-    printf "perf_smoke: FAIL — serve cache-on qps %.3f <= cache-off %.3f\n", on, off
-    exit 1
-  }
-  printf "perf_smoke: OK serve cache (%.2fx of cache-off)\n", on / off
-}'
+echo "perf_smoke: all guards passed"
